@@ -84,7 +84,7 @@ trafficConfig(bool periodic)
 
 struct CellResult
 {
-    cluster::TrafficWorkloadResult workload;
+    cluster::FleetStats workload;
     cluster::FleetStats fleet;
     double wall_s = 0;
     double events_per_sec = 0;

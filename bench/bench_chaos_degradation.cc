@@ -108,7 +108,7 @@ arm(sim::FaultPlan &plan, Intensity lvl, Time base, Duration horizon)
 
 struct CellResult
 {
-    cluster::AzureWorkloadResult workload;
+    cluster::FleetStats workload;
     cluster::FleetStats fleet;
     sim::FaultStats faults;
     double wall_s = 0;
@@ -161,7 +161,7 @@ runCell(Intensity lvl)
 
 struct ShardCellResult
 {
-    cluster::TrafficWorkloadResult workload;
+    cluster::FleetStats workload;
     cluster::FleetStats fleet;
     sim::FaultStats faults;
     double wall_s = 0;

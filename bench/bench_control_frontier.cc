@@ -89,7 +89,7 @@ trafficConfig()
 
 struct CellResult
 {
-    cluster::TrafficWorkloadResult workload;
+    cluster::FleetStats workload;
     cluster::FleetStats fleet;
     double wall_s = 0;
     double events_per_sec = 0;

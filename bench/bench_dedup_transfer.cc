@@ -54,7 +54,7 @@ struct Cell {
 };
 
 struct CellResult {
-    cluster::AzureWorkloadResult workload;
+    cluster::FleetStats workload;
     cluster::FleetStats fleet;
     double wall_s = 0;
     double events_per_sec = 0;

@@ -66,7 +66,7 @@ struct ModeCell {
 };
 
 struct CellResult {
-    cluster::AzureWorkloadResult workload;
+    cluster::FleetStats workload;
     cluster::FleetStats fleet;
     double wall_s = 0;
     double events_per_sec = 0;

@@ -26,7 +26,7 @@ using namespace vhive;
 
 namespace {
 
-cluster::AzureWorkloadResult
+cluster::FleetStats
 runPolicy(core::ColdStartMode mode, Duration keep_alive,
           Duration horizon)
 {
@@ -42,11 +42,11 @@ runPolicy(core::ColdStartMode mode, Duration keep_alive,
     wl.horizon = horizon;
     cluster::AzureWorkload workload(sim, c, wl);
 
-    cluster::AzureWorkloadResult result;
+    cluster::FleetStats result;
     struct T {
         static sim::Task<void>
         run(cluster::AzureWorkload &w,
-            cluster::AzureWorkloadResult &out)
+            cluster::FleetStats &out)
         {
             out = co_await w.run();
         }
@@ -85,8 +85,8 @@ main(int argc, char **argv)
                 .cell(r.coldFraction() * 100.0, 1)
                 .cell(r.e2eLatencyMs.percentile(50), 1)
                 .cell(r.e2eLatencyMs.percentile(99), 0)
-                .cell(r.avgResidentMb, 0)
-                .cell(r.memoryGbMin, 2);
+                .cell(r.residentByteSec / kMiB / minutes / 60.0, 0)
+                .cell(r.residentByteSec / kGiB / 60.0, 2);
         }
     }
     t.print();

@@ -7,6 +7,22 @@
 
 namespace vhive::cluster {
 
+func::FunctionProfile
+mixProfile(const std::vector<int> &pool,
+           const std::vector<func::FunctionClass> &class_mix,
+           std::uint64_t seed, int i, const std::string &prefix)
+{
+    auto slot = static_cast<size_t>(i);
+    func::FunctionProfile p =
+        class_mix.empty()
+            ? func::functionBench()[static_cast<size_t>(
+                  pool[slot % pool.size()])]
+            : func::makeClassProfile(class_mix[slot % class_mix.size()],
+                                     seed, i);
+    p.name = prefix + "_" + std::to_string(i) + "_" + p.name;
+    return p;
+}
+
 std::vector<AzureMixEntry>
 synthesizeAzureMix(const AzureWorkloadConfig &cfg)
 {
@@ -16,7 +32,6 @@ synthesizeAzureMix(const AzureWorkloadConfig &cfg)
                  cfg.maxInterarrival >= cfg.minInterarrival);
 
     Rng rng(cfg.seed, "azure-workload");
-    const auto &pool = func::functionBench();
     double log_min =
         std::log(static_cast<double>(cfg.minInterarrival));
     double log_max =
@@ -24,22 +39,8 @@ synthesizeAzureMix(const AzureWorkloadConfig &cfg)
     std::vector<AzureMixEntry> mix;
     mix.reserve(static_cast<size_t>(cfg.functions));
     for (int i = 0; i < cfg.functions; ++i) {
-        func::FunctionProfile p;
-        if (!cfg.classMix.empty()) {
-            // Class-generated mix: the profile comes from its own
-            // named sub-stream, so the "azure-workload" stream below
-            // sees exactly the draws it always did.
-            func::FunctionClass cls =
-                cfg.classMix[static_cast<size_t>(i) %
-                             cfg.classMix.size()];
-            p = func::makeClassProfile(cls, cfg.seed, i);
-        } else {
-            int pool_idx = cfg.profilePool[static_cast<size_t>(i) %
-                                           cfg.profilePool.size()];
-            p = pool[static_cast<size_t>(pool_idx)];
-        }
-        p.name = "az_" + std::to_string(i) + "_" + p.name;
-
+        func::FunctionProfile p =
+            mixProfile(cfg.profilePool, cfg.classMix, cfg.seed, i, "az");
         // Log-uniform inter-arrival: most functions end up sporadic,
         // matching the Azure study's long tail.
         double u = rng.uniform();
@@ -75,79 +76,24 @@ AzureWorkload::arrivalLoop(int idx, sim::Latch *done)
         if (sim.now() + gap >= deadline)
             break;
         co_await sim.delay(gap);
-        Duration e2e =
-            co_await cluster.invoke(names[static_cast<size_t>(idx)]);
-        result.e2eLatencyMs.add(toMs(e2e));
-        ++result.invocations;
+        (void)co_await cluster.invoke(names[static_cast<size_t>(idx)]);
     }
     done->arrive();
 }
 
-sim::Task<void>
-AzureWorkload::memorySampler()
-{
-    while (!samplerStopping) {
-        co_await sim.delay(cfg.samplePeriod);
-        memIntegralMbSec += toMiB(cluster.residentBytes()) *
-                            (static_cast<double>(cfg.samplePeriod) /
-                             static_cast<double>(kSecond));
-        sampledFor += cfg.samplePeriod;
-    }
-}
-
-sim::Task<AzureWorkloadResult>
+sim::Task<FleetStats>
 AzureWorkload::run()
 {
-    co_await cluster.prepareAllSnapshots();
-
-    core::ColdStartMode mode = cluster.config().coldStartMode;
-    bool mode_needs_record = cluster.worker(0)
-                                 .orchestrator()
-                                 .loaders()
-                                 .loaderFor(mode)
-                                 .needsRecord();
-    if (cfg.preRecordWorkingSets && mode_needs_record &&
-        !cluster.config().sharedSnapshots) {
-        // One record-phase invocation per function per worker, off
-        // the measured window. (Shared staging already recorded once
-        // on each function's home worker; the other workers are meant
-        // to pull the staged artifacts remotely, in-window.)
-        for (const auto &n : names) {
-            for (int wi = 0; wi < cluster.workerCount(); ++wi) {
-                auto &orch = cluster.worker(wi).orchestrator();
-                orch.flushHostCaches();
-                core::InvokeOptions opts;
-                opts.forceCold = true;
-                (void)co_await orch.invoke(n, mode, opts);
-            }
-        }
-        cluster.resetStats();
-    }
-
+    co_await cluster.prepareFleet(cfg.preRecordWorkingSets);
     cluster.startAutoscaler();
-    sim.spawn(memorySampler());
 
     sim::Latch done(sim, cfg.functions);
     for (int i = 0; i < cfg.functions; ++i)
         sim.spawn(arrivalLoop(i, &done));
     co_await done.wait();
 
-    samplerStopping = true;
     cluster.stopAutoscaler();
-
-    for (const auto &n : names) {
-        const auto &st = cluster.stats(n);
-        result.coldStarts += st.coldStarts;
-        result.warmHits += st.warmHits;
-        result.failedInvocations += st.failedInvocations;
-    }
-    result.avgResidentMb =
-        sampledFor > 0 ? memIntegralMbSec /
-                             (static_cast<double>(sampledFor) /
-                              static_cast<double>(kSecond))
-                       : 0.0;
-    result.memoryGbMin = memIntegralMbSec / 1024.0 / 60.0;
-    co_return result;
+    co_return cluster.fleetStats();
 }
 
 } // namespace vhive::cluster

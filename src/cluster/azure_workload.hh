@@ -6,8 +6,9 @@
  * less than once per minute), run shortly, and arrive unpredictably.
  * The generator deploys N functions whose mean inter-arrival times
  * are log-uniform over a configurable range and drives independent
- * Poisson arrivals for a simulated horizon while sampling the
- * fleet's resident memory.
+ * Poisson arrivals for a simulated horizon; the cluster's keep-alive
+ * janitor integrates the fleet's resident memory meanwhile
+ * (FleetStats::residentByteSec).
  */
 
 #ifndef VHIVE_CLUSTER_AZURE_WORKLOAD_HH
@@ -21,7 +22,6 @@
 #include "sim/simulation.hh"
 #include "sim/task.hh"
 #include "util/rng.hh"
-#include "util/stats.hh"
 #include "util/units.hh"
 
 namespace vhive::cluster {
@@ -40,9 +40,6 @@ struct AzureWorkloadConfig
 
     /** Simulated horizon. */
     Duration horizon = sec(1800);
-
-    /** Memory sampling period for the GB-minute integral. */
-    Duration samplePeriod = sec(5);
 
     /** Workload synthesis seed. */
     std::uint64_t seed = 0xa27e;
@@ -82,6 +79,18 @@ struct AzureMixEntry
 };
 
 /**
+ * Profile @p i of a synthesized population, named
+ * "<prefix>_<i>_<base>": func::makeClassProfile(classMix[i % size],
+ * seed, i) when @p class_mix is non-empty (its own named sub-stream,
+ * so the caller's streams see exactly the draws they always did),
+ * else func::functionBench()[pool[i % size]].
+ */
+func::FunctionProfile mixProfile(
+    const std::vector<int> &pool,
+    const std::vector<func::FunctionClass> &class_mix,
+    std::uint64_t seed, int i, const std::string &prefix);
+
+/**
  * Synthesize the deterministic function mix @p cfg describes: profile
  * picks cycle through cfg.profilePool and mean inter-arrivals are
  * log-uniform over [minInterarrival, maxInterarrival], all driven by
@@ -91,31 +100,6 @@ struct AzureMixEntry
  */
 std::vector<AzureMixEntry> synthesizeAzureMix(
     const AzureWorkloadConfig &cfg);
-
-/** Results of one workload run. */
-struct AzureWorkloadResult
-{
-    Samples e2eLatencyMs;     ///< all invocations
-    std::int64_t coldStarts = 0;
-    std::int64_t warmHits = 0;
-
-    /** Invocations reported failed after crash retries (fault runs
-     * only). Invariant: coldStarts + warmHits + failedInvocations ==
-     * invocations. */
-    std::int64_t failedInvocations = 0;
-    double avgResidentMb = 0;  ///< time-averaged fleet memory
-    double memoryGbMin = 0;    ///< integral of resident memory
-    std::int64_t invocations = 0;
-
-    double
-    coldFraction() const
-    {
-        auto total = coldStarts + warmHits;
-        return total ? static_cast<double>(coldStarts) /
-                           static_cast<double>(total)
-                     : 0.0;
-    }
-};
 
 /**
  * Deploys the mix onto @p cluster and drives it. The cluster must be
@@ -134,22 +118,18 @@ class AzureWorkload
         return names;
     }
 
-    /** Run the workload to completion and collect the results. */
-    sim::Task<AzureWorkloadResult> run();
+    /** Run the workload to completion; returns the cluster's
+     * fleetStats() over the measured window. */
+    sim::Task<FleetStats> run();
 
   private:
     sim::Task<void> arrivalLoop(int idx, sim::Latch *done);
-    sim::Task<void> memorySampler();
 
     sim::Simulation &sim;
     Cluster &cluster;
     AzureWorkloadConfig cfg;
     std::vector<std::string> names;
     std::vector<Duration> interarrival;
-    bool samplerStopping = false;
-    double memIntegralMbSec = 0;
-    Duration sampledFor = 0;
-    AzureWorkloadResult result;
 };
 
 } // namespace vhive::cluster

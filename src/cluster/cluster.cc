@@ -41,31 +41,11 @@ struct InFlightGuard
 Cluster::Cluster(sim::Simulation &sim, ClusterConfig config)
     : sim(sim), cfg(std::move(config))
 {
-    VHIVE_ASSERT(cfg.workers >= 1);
-    if (cfg.sharedSnapshots) {
-        if (cfg.coldStartMode != core::ColdStartMode::TieredReap &&
-            cfg.coldStartMode != core::ColdStartMode::RemoteReap &&
-            cfg.coldStartMode != core::ColdStartMode::DedupReap) {
-            fatal("sharedSnapshots needs a remote-capable cold-start "
-                  "mode (TieredReap, RemoteReap or DedupReap), got %s",
-                  core::coldStartModeName(cfg.coldStartMode));
-        }
-        VHIVE_ASSERT(cfg.sharedStoreShards >= 1);
-        net::ShardedStoreParams sp;
-        sp.shards = cfg.sharedStoreShards;
-        sp.shard = cfg.sharedStore;
-        sp.placement = cfg.chunkPlacement;
-        _sharedStore =
-            std::make_unique<net::ShardedObjectStore>(sim, sp);
-    }
-    for (int i = 0; i < cfg.workers; ++i) {
-        core::WorkerConfig wc = cfg.worker;
-        // Each worker gets its own seed stream (distinct page layouts
-        // do not matter, but determinism across runs does).
-        wc.seed = cfg.worker.seed + static_cast<std::uint64_t>(i);
-        workers.push_back(std::make_unique<core::Worker>(
-            sim, wc, _sharedStore.get()));
-    }
+    validateFleetConfig(cfg, "Cluster");
+    if (cfg.sharedSnapshots)
+        _sharedStore = makeSharedStore(sim, cfg);
+    for (int i = 0; i < cfg.workers; ++i)
+        workers.push_back(makeWorker(sim, cfg, i, _sharedStore.get()));
     telemetry.resize(workers.size());
     if (cfg.sharedSnapshots) {
         _registry = std::make_unique<SnapshotRegistry>(
@@ -121,6 +101,7 @@ Cluster::deploy(const func::FunctionProfile &profile)
             sim, cfg.maxConcurrencyPerFunction);
     }
     deployments.emplace(profile.name, std::move(dep));
+    deployOrder.push_back(profile.name);
     for (auto &w : workers)
         w->orchestrator().registerFunction(profile);
 }
@@ -139,6 +120,18 @@ Cluster::prepareAllSnapshots()
         for (auto &w : workers)
             co_await w->orchestrator().prepareSnapshot(entry.first);
     }
+}
+
+sim::Task<void>
+Cluster::prepareFleet(bool pre_record)
+{
+    co_await prepareAllSnapshots();
+    std::vector<core::Orchestrator *> orchs;
+    for (auto &w : workers)
+        orchs.push_back(&w->orchestrator());
+    if (co_await preRecordWorkingSets(cfg, pre_record, std::move(orchs),
+                                      deployOrder))
+        resetStats();
 }
 
 std::int64_t
@@ -221,12 +214,11 @@ Cluster::invoke(const std::string &name)
         widx = activePolicy->route(RouteContext{name, *this});
         VHIVE_ASSERT(widx >= 0 && widx < workerCount());
         auto &orch = workers[static_cast<size_t>(widx)]->orchestrator();
-        WorkerTelemetry &tele = telemetry[static_cast<size_t>(widx)];
+        WorkerFleetRow &tele = telemetry[static_cast<size_t>(widx)];
 
         // Whether the cold start (if any) will pull staged artifacts
         // through the remote tier rather than a local copy.
-        artifacts_were_local =
-            _registry == nullptr || orch.artifactsLocal(name);
+        artifacts_were_local = orch.artifactsLocal(name);
 
         InFlightGuard in_flight(tele.inFlight);
         tele.inFlightPeak = std::max(tele.inFlightPeak, tele.inFlight);
@@ -243,42 +235,23 @@ Cluster::invoke(const std::string &name)
     co_await sim.delay(rpc.clusterHop); // response hop
     Duration e2e = sim.now() - t0;
 
-    WorkerTelemetry &tele = telemetry[static_cast<size_t>(widx)];
     dep.lastUsed[static_cast<size_t>(widx)] = sim.now();
     dep.stats.e2eLatencyMs.add(toMs(e2e));
+    live.noteInvocation(toMs(e2e), bd.cold, bd.crashed);
     if (bd.crashed) {
         // Retries exhausted: reported failed exactly once, counted in
         // neither coldStarts nor warmHits.
         ++dep.stats.failedInvocations;
-    } else if (bd.cold) {
-        ++dep.stats.coldStarts;
-        ++tele.coldStarts;
-        fleetColdMs.add(toMs(e2e));
-        for (const auto &t : bd.tierHits)
-            mergeTierRow(tele.tierHits, t);
-        tele.wastedPrefetchPages += bd.wastedPrefetch;
-        if (_registry) {
-            // RemoteReap GETs the artifacts on every cold start no
-            // matter what lives locally. Tiered chains report exactly
-            // which tier served the WS bytes; trust that over the
-            // pre-invoke snapshot (a concurrent cold start may have
-            // re-localized the artifacts while this one queued).
-            bool fetched_remotely =
-                cfg.coldStartMode ==
-                    core::ColdStartMode::RemoteReap ||
-                !artifacts_were_local;
-            for (const auto &t : bd.tierHits) {
-                if (t.tier == "remote")
-                    fetched_remotely = t.bytes > 0;
-            }
-            if (fetched_remotely)
-                _registry->noteRemoteFetch(name, widx);
-        }
-    } else {
-        ++dep.stats.warmHits;
-        ++tele.warmHits;
-        fleetWarmMs.add(toMs(e2e));
+        co_return e2e;
     }
+    telemetry[static_cast<size_t>(widx)].noteServed(bd);
+    if (!bd.cold) {
+        ++dep.stats.warmHits;
+        co_return e2e;
+    }
+    ++dep.stats.coldStarts;
+    if (fetchedRemotely(cfg, bd, artifacts_were_local))
+        _registry->noteRemoteFetch(name, widx);
     co_return e2e;
 }
 
@@ -324,15 +297,6 @@ Cluster::instanceCount(const std::string &name) const
     return total;
 }
 
-Bytes
-Cluster::residentBytes() const
-{
-    Bytes total = 0;
-    for (const auto &w : workers)
-        total += w->orchestrator().totalResidentBytes();
-    return total;
-}
-
 const FunctionClusterStats &
 Cluster::stats(const std::string &name) const
 {
@@ -345,94 +309,33 @@ Cluster::stats(const std::string &name) const
 FleetStats
 Cluster::fleetStats() const
 {
-    FleetStats fs;
+    FleetStats fs = live;
     fs.workers = workerCount();
-    fs.coldE2eMs = fleetColdMs;
-    fs.warmE2eMs = fleetWarmMs;
-    for (size_t i = 0; i < workers.size(); ++i) {
-        const WorkerTelemetry &tele = telemetry[i];
-        WorkerFleetRow row;
-        row.worker = static_cast<int>(i);
-        row.coldStarts = tele.coldStarts;
-        row.warmHits = tele.warmHits;
-        row.inFlightPeak = tele.inFlightPeak;
-        row.residentBytes =
-            workers[i]->orchestrator().totalResidentBytes();
-        row.tierHits = tele.tierHits;
-        row.wastedPrefetchPages = tele.wastedPrefetchPages;
-        fs.residentBytes += row.residentBytes;
-        fs.wastedPrefetchPages += row.wastedPrefetchPages;
-        for (const auto &t : tele.tierHits)
-            mergeTierRow(fs.tierHits, t);
-        fs.perWorker.push_back(std::move(row));
-    }
-    fs.wastedResidentByteSec = _wastedResidentByteSec;
-    fs.idleWarmInstanceSec = _idleWarmInstanceSec;
-    for (const auto &w : workers) {
-        const auto &orch = w->orchestrator();
-        fs.wastedPreWarms += orch.wastedPreWarms();
-        fs.bgPrefetches += orch.backgroundPrefetches();
-        fs.pageCachePeakBytes += orch.tierBudget().peakResidentBytes();
-        fs.pageCacheEvictedBytes += orch.tierBudget().evictedBytes();
-        const auto &cc = orch.localChunkCache().stats();
-        fs.workerChunkPeakBytes += cc.peakStoredBytes;
-        fs.workerChunkBudgetEvictions += cc.budgetEvictions;
-        fs.ssdEvictions += orch.ssdEvictions();
-        fs.peakSsdBytes += orch.peakSsdBytes();
-        for (const auto &entry : deployments) {
-            const core::FunctionStats &st = orch.stats(entry.first);
-            fs.preWarms += st.preWarms;
-            fs.preWarmHits += st.preWarmHits;
-            if (_registry == nullptr) {
-                // Worker-local staging: delta accounting lives in the
-                // per-function stats (the registry's under sharing).
-                fs.restages += st.deltaRestages;
-                fs.deltaChunksUploaded += st.deltaChunksUploaded;
-                fs.deltaBytesUploaded += st.deltaBytesUploaded;
-            }
-        }
-    }
-    if (_sharedStore) {
-        fs.store = _sharedStore->stats();
-        fs.storeShards = _sharedStore->shardStats();
-    } else {
+    for (size_t i = 0; i < workers.size(); ++i)
+        fs.addWorker(telemetry[i], workers[i]->orchestrator(),
+                     deployOrder, _registry != nullptr);
+    if (!_registry) {
         for (const auto &w : workers)
             mergeStoreStats(fs.store, w->objectStore().stats());
+        return fs;
     }
-    if (_registry) {
-        fs.snapshotBuilds = _registry->totalBuilds();
-        fs.stagedBytes = _registry->totalStagedBytes();
-        fs.remoteArtifactFetches = _registry->totalRemoteFetches();
-        for (const auto &entry : deployments) {
-            if (_registry->isStaged(entry.first))
-                fs.fetchFanIn +=
-                    _registry->artifact(entry.first).fetchFanIn();
-        }
-        if (_registry->chunked()) {
-            const storage::ChunkStore &idx = _registry->chunkIndex();
-            fs.chunkLogicalBytes = _registry->totalLogicalBytes();
-            fs.chunkStoredBytes = idx.storedBytes();
-            fs.chunkDedupSavedBytes =
-                _registry->totalDedupSavedBytes();
-            fs.chunksStored = idx.chunkCount();
-            fs.chunksDeduped = idx.stats().dedupHits;
-            fs.chunkPeakStoredBytes = idx.stats().peakStoredBytes;
-            fs.chunkBudgetEvictions = idx.stats().budgetEvictions;
-        }
-        fs.restages = _registry->totalRestages();
-        for (const auto &entry : deployments) {
-            if (!_registry->isStaged(entry.first))
-                continue;
-            const StagedArtifact &art =
-                _registry->artifact(entry.first);
-            fs.deltaChunksUploaded += art.deltaChunksUploaded;
-            fs.deltaBytesUploaded += art.deltaBytesUploaded;
-        }
-        fs.retires = _registry->retires();
-        fs.gcReleasedBytes = _registry->gcReleasedBytes();
-    } else {
-        for (const auto &w : workers)
-            fs.snapshotBuilds += w->orchestrator().snapshotBuilds();
+    fs.addSharedStaging(*_sharedStore, _registry->chunkIndex());
+    fs.snapshotBuilds = _registry->totalBuilds();
+    fs.stagedBytes = _registry->totalStagedBytes();
+    fs.remoteArtifactFetches = _registry->totalRemoteFetches();
+    fs.chunkLogicalBytes = _registry->totalLogicalBytes();
+    fs.dedupSavedBytes = _registry->totalDedupSavedBytes();
+    fs.restages = _registry->totalRestages();
+    fs.retires = _registry->retires();
+    fs.gcReleasedBytes = _registry->gcReleasedBytes();
+    for (const std::string &name : deployOrder) {
+        if (!_registry->isStaged(name))
+            continue;
+        const StagedArtifact &art = _registry->artifact(name);
+        fs.fetchFanIn += art.fetchFanIn();
+        fs.chunksUploaded += art.chunksUploaded;
+        fs.deltaChunksUploaded += art.deltaChunksUploaded;
+        fs.deltaBytesUploaded += art.deltaBytesUploaded;
     }
     return fs;
 }
@@ -444,30 +347,13 @@ Cluster::resetStats()
         entry.second.stats = FunctionClusterStats{};
     for (auto &tele : telemetry) {
         std::int64_t in_flight = tele.inFlight;
-        tele = WorkerTelemetry{};
+        tele = WorkerFleetRow{};
         // Live invocations stay counted, and remain the floor of the
         // post-reset peak (the worker demonstrably carries them now).
         tele.inFlight = in_flight;
         tele.inFlightPeak = in_flight;
     }
-    fleetColdMs.clear();
-    fleetWarmMs.clear();
-    _wastedResidentByteSec = 0;
-    _idleWarmInstanceSec = 0;
-}
-
-core::ColdStartMode
-Cluster::preWarmMode() const
-{
-    switch (cfg.coldStartMode) {
-      case core::ColdStartMode::TieredReap:
-      case core::ColdStartMode::RemoteReap:
-      case core::ColdStartMode::DedupReap:
-      case core::ColdStartMode::BackgroundWarm:
-        return core::ColdStartMode::BackgroundWarm;
-      default:
-        return cfg.coldStartMode;
-    }
+    live = FleetStats{};
 }
 
 sim::Task<void>
@@ -478,7 +364,8 @@ Cluster::preWarmTask(std::string name, int widx)
         co_return;
     auto &orch = workers[static_cast<size_t>(widx)]->orchestrator();
     core::LatencyBreakdown bd =
-        co_await orch.preWarm(name, preWarmMode());
+        co_await orch.preWarm(name, preWarmMode(cfg.coldStartMode));
+    ++live.preWarms;
     if (bd.total > 0 && !bd.crashed) {
         // The pre-warmed instance is autoscaler-sanctioned activity;
         // without this the very next sweep would reap it before the
@@ -494,18 +381,14 @@ Cluster::backgroundPrefetchTask(std::string name, int widx,
     co_await workers[static_cast<size_t>(widx)]
         ->orchestrator()
         .backgroundPrefetch(name, until);
+    ++live.bgPrefetches;
 }
 
 void
 Cluster::controlTick()
 {
-    ControlTickContext ctx;
-    ctx.now = sim.now();
-    ctx.workers = workerCount();
-    ctx.coldP99Ms =
-        fleetColdMs.count() > 0 ? fleetColdMs.percentile(99) : 0.0;
-    for (const auto &tele : telemetry)
-        ctx.coldStarts += tele.coldStarts;
+    ControlTickContext ctx =
+        controlTickContext(sim.now(), workerCount(), live);
     for (const auto &entry : deployments) {
         ControlFunctionView v;
         v.name = entry.first;
@@ -548,18 +431,9 @@ Cluster::janitor()
     while (!autoscalerStopping) {
         co_await sim.delay(cfg.scalePeriod);
 
-        // Warm-pool waste accounting: integrate idle-warm bytes and
-        // instance counts over the tick. Pure arithmetic, no
-        // suspension — runs identically with or without a policy, so
-        // a dormant control plane stays bit-identical to none.
-        double dt = static_cast<double>(cfg.scalePeriod) / 1e9;
-        for (const auto &w : workers) {
-            const auto &orch = w->orchestrator();
-            _wastedResidentByteSec +=
-                static_cast<double>(orch.idleResidentBytes()) * dt;
-            _idleWarmInstanceSec +=
-                static_cast<double>(orch.idleInstanceTotal()) * dt;
-        }
+        for (size_t i = 0; i < workers.size(); ++i)
+            telemetry[i].noteJanitorTick(workers[i]->orchestrator(),
+                                         cfg.scalePeriod);
 
         if (activeControl != nullptr)
             controlTick();
@@ -584,8 +458,10 @@ Cluster::janitor()
                     // invocations.
                     std::int64_t stopped =
                         co_await orch.stopIdleInstances(entry.first);
-                    if (stopped > 0)
+                    if (stopped > 0) {
                         ++dep.stats.scaleDowns;
+                        ++live.scaleDowns;
+                    }
                 }
             }
         }

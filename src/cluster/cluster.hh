@@ -36,27 +36,10 @@
 
 namespace vhive::cluster {
 
-/** Cluster-level configuration. */
-struct ClusterConfig
+/** Cluster-level configuration: the shared fleet fields plus the
+ * sequential engine's own. */
+struct ClusterConfig : FleetConfig
 {
-    /** Number of worker hosts. */
-    int workers = 1;
-
-    /** Configuration applied to every worker. */
-    core::WorkerConfig worker{};
-
-    /**
-     * Idle-instance lifetime before deallocation (Sec. 2.1: providers
-     * use 8-20 minutes; default 10).
-     */
-    Duration keepAlive = sec(600);
-
-    /** How the workers start cold instances. */
-    core::ColdStartMode coldStartMode = core::ColdStartMode::Reap;
-
-    /** Autoscaler reconciliation period. */
-    Duration scalePeriod = sec(2);
-
     /**
      * Knative queue-proxy behaviour: at most this many in-flight
      * invocations per function cluster-wide; excess requests queue
@@ -65,42 +48,6 @@ struct ClusterConfig
      */
     int maxConcurrencyPerFunction = 0;
 
-    /** Which RoutingPolicy the front-end dispatches through. */
-    RoutingPolicyKind routingPolicy = RoutingPolicyKind::WarmFirst;
-
-    /**
-     * Which predictive ControlPolicy the autoscaler runs each
-     * scalePeriod (pre-warming, chunk prefetch, scale hints). None
-     * (default) keeps the janitor's plain keep-alive sweep
-     * bit-identical to the historical behaviour.
-     */
-    ControlPolicyKind controlPolicy = ControlPolicyKind::None;
-
-    /**
-     * Cross-worker snapshot sharing (Sec. 7.1 at fleet scale): build
-     * each function's snapshot once on its home worker, stage the
-     * artifacts into one fleet-shared object store, and let every
-     * other worker cold-start through the remote tier instead of
-     * rebuilding. Requires a remote-capable cold-start mode
-     * (TieredReap or RemoteReap). Off by default: per-worker staging,
-     * bit-identical to the historical behaviour.
-     */
-    bool sharedSnapshots = false;
-
-    /** Parameters of the fleet-shared store (sharedSnapshots only). */
-    net::ObjectStoreParams sharedStore = net::ObjectStoreParams::remote();
-
-    /**
-     * Shards behind the fleet-shared store (sharedSnapshots only).
-     * Each shard has its own stream bound and stats; 1 keeps the
-     * historical single-store behaviour bit-identical.
-     */
-    int sharedStoreShards = 1;
-
-    /** How chunk uploads spread across shards (DedupReap staging). */
-    net::ChunkPlacementPolicy chunkPlacement =
-        net::ChunkPlacementPolicy::Hash;
-
     /**
      * Cold starts torn down by an injected WorkerCrash fault are
      * re-routed and retried up to this many times before the
@@ -108,20 +55,6 @@ struct ClusterConfig
      * is installed (installFaultPlan); fault-free runs never retry.
      */
     int maxColdStartRetries = 2;
-
-    /**
-     * Byte budget of the fleet staged-chunk index (sharedSnapshots +
-     * DedupReap; 0 = unlimited, the historical behaviour). Chunks a
-     * live manifest references are never evicted; the zero-ref pool
-     * retireFunction()/restage leave behind is what budget pressure
-     * reclaims. Worker-side budgets (page cache, chunk cache, local
-     * SSD) live in ReapOptions.
-     */
-    Bytes registryChunkBudget = 0;
-
-    /** Victim selection for the budgeted fleet chunk index. */
-    storage::EvictionPolicyKind registryEvictionPolicy =
-        storage::EvictionPolicyKind::Lru;
 };
 
 /** Per-function cluster-level statistics. */
@@ -175,6 +108,14 @@ class Cluster : private FleetView
     sim::Task<void> prepareAllSnapshots();
 
     /**
+     * prepareAllSnapshots(), then — when @p pre_record — the
+     * off-window record pass (preRecordWorkingSets) on every worker,
+     * resetting the statistics it touched. The set-up step of
+     * AzureWorkload and TrafficWorkload.
+     */
+    sim::Task<void> prepareFleet(bool pre_record);
+
+    /**
      * Start the autoscaler's keep-alive janitor (detached task). Call
      * once before driving traffic with scale-to-zero behaviour.
      */
@@ -217,9 +158,6 @@ class Cluster : private FleetView
 
     /** Total live instances of @p name across workers. */
     std::int64_t instanceCount(const std::string &name) const;
-
-    /** Total resident instance memory across the fleet (Sec. 4.3). */
-    Bytes residentBytes() const;
 
     /** Cluster-level stats for @p name. */
     const FunctionClusterStats &stats(const std::string &name) const;
@@ -295,17 +233,6 @@ class Cluster : private FleetView
         std::unique_ptr<sim::Semaphore> concurrency;
     };
 
-    /** Per-worker front-end telemetry feeding fleetStats(). */
-    struct WorkerTelemetry
-    {
-        std::int64_t coldStarts = 0;
-        std::int64_t warmHits = 0;
-        std::int64_t inFlight = 0;
-        std::int64_t inFlightPeak = 0;
-        std::vector<core::TierBreakdown> tierHits;
-        std::int64_t wastedPrefetchPages = 0;
-    };
-
     /** @name FleetView (the slice policies may consult). */
     /// @{
     std::int64_t idleInstances(int worker,
@@ -320,14 +247,6 @@ class Cluster : private FleetView
 
     /** Keep-alive janitor loop. */
     sim::Task<void> janitor();
-
-    /**
-     * The ColdStartMode pre-warm actions load through: Sec. 6.3
-     * background working-set warming for the tiered/remote family
-     * (yield store streams to foreground colds), the configured mode
-     * itself otherwise (plain Reap must not gain tiered staging).
-     */
-    core::ColdStartMode preWarmMode() const;
 
     /** Detached pre-warm issued by a control action. */
     sim::Task<void> preWarmTask(std::string name, int widx);
@@ -349,6 +268,9 @@ class Cluster : private FleetView
     std::vector<std::unique_ptr<core::Worker>> workers;
     std::unique_ptr<SnapshotRegistry> _registry;
     std::map<std::string, Deployment> deployments;
+
+    /** Deployed names in deploy() order (the record pass's order). */
+    std::vector<std::string> deployOrder;
     RoutingPolicyRegistry _policies;
     RoutingPolicy *activePolicy = nullptr;
     ControlPolicyRegistry _controlPolicies;
@@ -360,13 +282,13 @@ class Cluster : private FleetView
     /** Sweep rounds the janitor skips (positive ScaleHint). */
     int scaleHold = 0;
 
-    /** Satellite accounting integrated each scalePeriod. */
-    double _wastedResidentByteSec = 0;
-    double _idleWarmInstanceSec = 0;
+    /** Per-worker front-end telemetry feeding fleetStats(). */
+    std::vector<WorkerFleetRow> telemetry;
 
-    std::vector<WorkerTelemetry> telemetry;
-    Samples fleetColdMs;
-    Samples fleetWarmMs;
+    /** Fleet counters kept as they happen (invocation outcomes and
+     * samples, completed control requests); fleetStats() adds the
+     * per-worker and registry ones. */
+    FleetStats live;
     bool autoscalerRunning = false;
     bool autoscalerStopping = false;
 };

@@ -248,6 +248,7 @@ OraclePolicy::tick(const ControlTickContext &ctx,
 // ControlPolicyRegistry
 
 ControlPolicyRegistry::ControlPolicyRegistry()
+    : PolicyRegistry("ControlPolicy")
 {
     registerPolicy(ControlPolicyKind::None,
                    std::make_unique<NoControlPolicy>());
@@ -257,41 +258,6 @@ ControlPolicyRegistry::ControlPolicyRegistry()
                    std::make_unique<HybridHistogramPolicy>());
     registerPolicy(ControlPolicyKind::Oracle,
                    std::make_unique<OraclePolicy>());
-}
-
-ControlPolicy &
-ControlPolicyRegistry::policyFor(ControlPolicyKind kind) const
-{
-    ControlPolicy *p = find(kind);
-    if (p == nullptr)
-        fatal("no ControlPolicy registered for kind %d",
-              static_cast<int>(kind));
-    return *p;
-}
-
-ControlPolicy *
-ControlPolicyRegistry::find(ControlPolicyKind kind) const
-{
-    auto it = policies.find(kind);
-    return it == policies.end() ? nullptr : it->second.get();
-}
-
-void
-ControlPolicyRegistry::registerPolicy(
-    ControlPolicyKind kind, std::unique_ptr<ControlPolicy> policy)
-{
-    VHIVE_ASSERT(policy != nullptr);
-    policies[kind] = std::move(policy);
-}
-
-std::vector<ControlPolicyKind>
-ControlPolicyRegistry::kinds() const
-{
-    std::vector<ControlPolicyKind> out;
-    out.reserve(policies.size());
-    for (const auto &entry : policies)
-        out.push_back(entry.first);
-    return out;
 }
 
 } // namespace vhive::cluster

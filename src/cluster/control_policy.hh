@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/policy_registry.hh"
 #include "util/units.hh"
 
 namespace vhive::cluster {
@@ -270,27 +271,12 @@ class OraclePolicy final : public ControlPolicy
     std::map<std::string, FnSchedule> fns;
 };
 
-/** Registry of control policies, keyed by kind (see RoutingPolicy). */
+/** The control-policy registry, built-ins installed. */
 class ControlPolicyRegistry
+    : public PolicyRegistry<ControlPolicyKind, ControlPolicy>
 {
   public:
     ControlPolicyRegistry();
-
-    /** Look up a policy; aborts if the kind is not registered. */
-    ControlPolicy &policyFor(ControlPolicyKind kind) const;
-
-    /** Look up a policy; nullptr if the kind is not registered. */
-    ControlPolicy *find(ControlPolicyKind kind) const;
-
-    /** Register (or replace) the policy for a kind. */
-    void registerPolicy(ControlPolicyKind kind,
-                        std::unique_ptr<ControlPolicy> policy);
-
-    /** All registered kinds, sorted. */
-    std::vector<ControlPolicyKind> kinds() const;
-
-  private:
-    std::map<ControlPolicyKind, std::unique_ptr<ControlPolicy>> policies;
 };
 
 } // namespace vhive::cluster

@@ -1,84 +1,11 @@
 #include "cluster/parallel_fleet.hh"
 
-#include <bit>
+#include <algorithm>
 
 #include "util/logging.hh"
 #include "util/rng.hh"
 
 namespace vhive::cluster {
-
-namespace {
-
-/** FNV-1a accumulation of one 64-bit quantity. */
-void
-fnvMix(std::uint64_t &h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (i * 8)) & 0xff;
-        h *= 1099511628211ull;
-    }
-}
-
-/** FNV-1a accumulation of one ObjectStoreStats row. */
-void
-fnvMixStats(std::uint64_t &h, const net::ObjectStoreStats &s)
-{
-    fnvMix(h, static_cast<std::uint64_t>(s.gets));
-    fnvMix(h, static_cast<std::uint64_t>(s.puts));
-    fnvMix(h, static_cast<std::uint64_t>(s.rangedGets));
-    fnvMix(h, static_cast<std::uint64_t>(s.bytesServed));
-    fnvMix(h, static_cast<std::uint64_t>(s.bytesStored));
-    fnvMix(h, static_cast<std::uint64_t>(s.chunkPuts));
-    fnvMix(h, static_cast<std::uint64_t>(s.chunkBatches));
-    fnvMix(h, static_cast<std::uint64_t>(s.chunksServed));
-    fnvMix(h, static_cast<std::uint64_t>(s.streamWaits));
-    fnvMix(h, static_cast<std::uint64_t>(s.streamWaitTime));
-    fnvMix(h, static_cast<std::uint64_t>(s.peakStreamQueue));
-    fnvMix(h, static_cast<std::uint64_t>(s.requestRetries));
-    fnvMix(h, static_cast<std::uint64_t>(s.outageStalls));
-}
-
-} // namespace
-
-std::uint64_t
-ParallelFleetResult::digest() const
-{
-    std::uint64_t h = 14695981039346656037ull;
-    fnvMix(h, static_cast<std::uint64_t>(invocations));
-    fnvMix(h, static_cast<std::uint64_t>(coldStarts));
-    fnvMix(h, static_cast<std::uint64_t>(warmHits));
-    fnvMix(h, static_cast<std::uint64_t>(scaleDowns));
-    fnvMix(h, static_cast<std::uint64_t>(preWarms));
-    fnvMix(h, static_cast<std::uint64_t>(preWarmHits));
-    fnvMix(h, static_cast<std::uint64_t>(eventsProcessed));
-    fnvMix(h, static_cast<std::uint64_t>(windows));
-    fnvMix(h, static_cast<std::uint64_t>(messages));
-    fnvMix(h, static_cast<std::uint64_t>(snapshotBuilds));
-    fnvMix(h, static_cast<std::uint64_t>(stagedBytes));
-    fnvMix(h, static_cast<std::uint64_t>(dedupSavedBytes));
-    fnvMix(h, static_cast<std::uint64_t>(chunksUploaded));
-    fnvMix(h, static_cast<std::uint64_t>(chunksDeduped));
-    fnvMix(h, static_cast<std::uint64_t>(remoteArtifactFetches));
-    fnvMix(h, static_cast<std::uint64_t>(bgPrefetches));
-    fnvMix(h, static_cast<std::uint64_t>(pageCachePeakBytes));
-    fnvMix(h, static_cast<std::uint64_t>(pageCacheEvictedBytes));
-    fnvMix(h, static_cast<std::uint64_t>(workerChunkPeakBytes));
-    fnvMix(h, static_cast<std::uint64_t>(workerChunkBudgetEvictions));
-    fnvMix(h, static_cast<std::uint64_t>(ssdEvictions));
-    fnvMix(h, static_cast<std::uint64_t>(peakSsdBytes));
-    fnvMix(h, static_cast<std::uint64_t>(fleetChunkPeakBytes));
-    fnvMix(h, static_cast<std::uint64_t>(fleetChunkBudgetEvictions));
-    fnvMixStats(h, store);
-    fnvMix(h, static_cast<std::uint64_t>(storeShards.size()));
-    for (const net::ObjectStoreStats &row : storeShards)
-        fnvMixStats(h, row);
-    for (const Samples *s : {&e2eLatencyMs, &coldE2eMs, &warmE2eMs}) {
-        fnvMix(h, static_cast<std::uint64_t>(s->count()));
-        for (double v : s->values())
-            fnvMix(h, std::bit_cast<std::uint64_t>(v));
-    }
-    return h;
-}
 
 ParallelFleetConfig
 ParallelFleet::checkedConfig(ParallelFleetConfig config)
@@ -86,19 +13,11 @@ ParallelFleet::checkedConfig(ParallelFleetConfig config)
     // Runs in the member-init list, before the kernel's thread pool
     // is constructed: an unsupported configuration exits cleanly
     // instead of tearing down live simulation threads.
-    if (config.sharedStoreShards < 1)
-        fatal("ParallelFleet: sharedStoreShards must be >= 1 (got %d)",
-              config.sharedStoreShards);
-    if (config.sharedSnapshots &&
-        config.coldStartMode != core::ColdStartMode::TieredReap &&
-        config.coldStartMode != core::ColdStartMode::RemoteReap &&
-        config.coldStartMode != core::ColdStartMode::DedupReap) {
-        fatal("ParallelFleet sharedSnapshots requires a "
-              "remote-capable cold-start mode (TieredReap, "
-              "RemoteReap or DedupReap); %s keeps all artifacts "
-              "local and has nothing to stage",
-              core::coldStartModeName(config.coldStartMode));
-    }
+    validateFleetConfig(config, "ParallelFleet");
+    if (config.fabricHop <= 0)
+        fatal("ParallelFleet: fabricHop (the kernel lookahead) must be "
+              "> 0 (got %lld ns)",
+              static_cast<long long>(config.fabricHop));
     return config;
 }
 
@@ -107,8 +26,6 @@ ParallelFleet::ParallelFleet(ParallelFleetConfig config)
       kernel(cfg.workers + 1 + (cfg.sharedSnapshots ? 1 : 0),
              cfg.simThreads)
 {
-    VHIVE_ASSERT(cfg.workers >= 1);
-
     if (cfg.traffic) {
         // Traffic-driven mix: the engine's Zipf population, driven
         // open-loop (meanInterarrival unused on this path).
@@ -120,8 +37,10 @@ ParallelFleet::ParallelFleet(ParallelFleetConfig config)
     } else {
         mix = synthesizeAzureMix(cfg.workload);
     }
-    for (std::size_t i = 0; i < mix.size(); ++i)
+    for (std::size_t i = 0; i < mix.size(); ++i) {
         fnIndex[mix[i].profile.name] = static_cast<int>(i);
+        fnNames.push_back(mix[i].profile.name);
+    }
 
     mirrorIdle.assign(static_cast<std::size_t>(cfg.workers),
                       std::vector<std::int64_t>(mix.size(), 0));
@@ -146,12 +65,7 @@ ParallelFleet::ParallelFleet(ParallelFleetConfig config)
         activeControl = &controlPolicies.policyFor(cfg.controlPolicy);
 
     if (cfg.sharedSnapshots) {
-        net::ShardedStoreParams sp;
-        sp.shards = cfg.sharedStoreShards;
-        sp.shard = cfg.sharedStore;
-        sp.placement = cfg.chunkPlacement;
-        sharedStore = std::make_unique<net::ShardedObjectStore>(
-            kernel.sim(storeDomain()), sp);
+        sharedStore = makeSharedStore(kernel.sim(storeDomain()), cfg);
         if (cfg.registryChunkBudget > 0)
             fleetChunks.setBudget(cfg.registryChunkBudget,
                                   cfg.registryEvictionPolicy,
@@ -174,9 +88,6 @@ ParallelFleet::ParallelFleet(ParallelFleetConfig config)
     nodes.reserve(static_cast<std::size_t>(cfg.workers));
     for (int w = 0; w < cfg.workers; ++w) {
         auto node = std::make_unique<WorkerNode>();
-        core::WorkerConfig wc = cfg.worker;
-        // Same per-worker seed derivation as cluster::Cluster.
-        wc.seed = cfg.worker.seed + static_cast<std::uint64_t>(w);
         node->fromControl =
             std::make_unique<sim::CrossPort<WorkerMsg>>(
                 kernel, kernel.domain(0), kernel.domain(1 + w),
@@ -202,8 +113,8 @@ ParallelFleet::ParallelFleet(ParallelFleetConfig config)
             node->allAdopted =
                 std::make_unique<sim::Gate>(kernel.sim(1 + w));
         }
-        node->worker = std::make_unique<core::Worker>(
-            kernel.sim(1 + w), wc, node->storeClient.get());
+        node->worker = makeWorker(kernel.sim(1 + w), cfg, w,
+                                  node->storeClient.get());
         node->lastUsed.assign(mix.size(), 0);
         if (!cfg.storeFaults.empty()) {
             // One plan per domain (FaultPlan is not thread-safe),
@@ -274,44 +185,27 @@ ParallelFleet::MirrorView::artifactsLocal(
 sim::Task<void>
 ParallelFleet::StorePortClient::get(Bytes bytes, net::PlacementKey key)
 {
-    StoreMsg m;
-    m.op = StoreMsg::Get;
-    m.a = bytes;
-    m.key = key;
-    co_await fleet.storeOp(w, m);
+    co_await fleet.storeOp(w, StoreMsg::Get, bytes, 0, 0, key);
 }
 
 sim::Task<void>
 ParallelFleet::StorePortClient::getRange(Bytes offset, Bytes bytes,
                                          net::PlacementKey key)
 {
-    StoreMsg m;
-    m.op = StoreMsg::GetRange;
-    m.a = offset;
-    m.b = bytes;
-    m.key = key;
-    co_await fleet.storeOp(w, m);
+    co_await fleet.storeOp(w, StoreMsg::GetRange, offset, bytes, 0, key);
 }
 
 sim::Task<void>
 ParallelFleet::StorePortClient::put(Bytes bytes, net::PlacementKey key)
 {
-    StoreMsg m;
-    m.op = StoreMsg::Put;
-    m.a = bytes;
-    m.key = key;
-    co_await fleet.storeOp(w, m);
+    co_await fleet.storeOp(w, StoreMsg::Put, bytes, 0, 0, key);
 }
 
 sim::Task<void>
 ParallelFleet::StorePortClient::putChunk(Bytes stored_bytes,
                                          net::PlacementKey key)
 {
-    StoreMsg m;
-    m.op = StoreMsg::PutChunk;
-    m.a = stored_bytes;
-    m.key = key;
-    co_await fleet.storeOp(w, m);
+    co_await fleet.storeOp(w, StoreMsg::PutChunk, stored_bytes, 0, 0, key);
 }
 
 sim::Task<void>
@@ -319,12 +213,8 @@ ParallelFleet::StorePortClient::getChunks(std::int64_t chunks,
                                           Bytes stored_bytes,
                                           net::PlacementKey key)
 {
-    StoreMsg m;
-    m.op = StoreMsg::GetChunks;
-    m.chunks = chunks;
-    m.b = stored_bytes;
-    m.key = key;
-    co_await fleet.storeOp(w, m);
+    co_await fleet.storeOp(w, StoreMsg::GetChunks, 0, stored_bytes, chunks,
+                           key);
 }
 
 int
@@ -345,11 +235,17 @@ ParallelFleet::StorePortClient::shardCount() const
 }
 
 sim::Task<void>
-ParallelFleet::storeOp(int w, StoreMsg msg)
+ParallelFleet::storeOp(int w, StoreMsg::OpKind op, Bytes a, Bytes b,
+                       std::int64_t chunks, net::PlacementKey key)
 {
     WorkerNode &node = *nodes[static_cast<std::size_t>(w)];
-    msg.kind = StoreMsg::Op;
+    StoreMsg msg;
+    msg.op = op;
     msg.reqId = node.nextStoreReq++;
+    msg.a = a;
+    msg.b = b;
+    msg.chunks = chunks;
+    msg.key = key;
     sim::Gate gate(kernel.sim(1 + w));
     node.storePending.emplace(msg.reqId, &gate);
     node.toStore->send(msg);
@@ -440,10 +336,6 @@ ParallelFleet::storeStage(StoreMsg msg)
                     co_await sharedStore->putChunk(c.storedBytes,
                                                    {c.hash, scope});
                     stagingStagedBytes += c.storedBytes;
-                    ++stagingChunksUploaded;
-                } else {
-                    stagingDedupSaved += c.storedBytes;
-                    ++stagingChunksDeduped;
                 }
                 adopt->placements.emplace_back(
                     c.hash, sharedStore->shardOf({c.hash, scope}));
@@ -488,7 +380,7 @@ ParallelFleet::stageHomeFunctions(int w)
         auto payload = std::make_shared<StagePayload>();
         payload->fnIdx = static_cast<int>(i);
         payload->record = orch.record(name);
-        if (chunkedMode()) {
+        if (cfg.coldStartMode == core::ColdStartMode::DedupReap) {
             (void)orch.buildManifests(name);
             payload->manifests = orch.manifests(name);
         } else {
@@ -556,28 +448,14 @@ ParallelFleet::workerMain(int w)
         // for the whole population so traffic never races adoption.
         co_await node.allAdopted->wait();
     } else {
-        for (const auto &entry : mix)
-            co_await orch.prepareSnapshot(entry.profile.name);
-
-        bool mode_needs_record = orch.loaders()
-                                     .loaderFor(cfg.coldStartMode)
-                                     .needsRecord();
-        if (cfg.workload.preRecordWorkingSets && mode_needs_record) {
-            // One record-phase invocation per function, off the
-            // measured window — mirrors AzureWorkload::run's
-            // pre-record pass.
-            for (const auto &entry : mix) {
-                orch.flushHostCaches();
-                core::InvokeOptions opts;
-                opts.forceCold = true;
-                (void)co_await orch.invoke(entry.profile.name,
-                                           cfg.coldStartMode, opts);
-            }
-        }
+        for (const std::string &name : fnNames)
+            co_await orch.prepareSnapshot(name);
+        (void)co_await preRecordWorkingSets(
+            cfg, cfg.workload.preRecordWorkingSets,
+            std::vector<core::Orchestrator *>(1, &orch), fnNames);
     }
 
-    node.toControl->send(ControlMsg{ControlMsg::Ready, 0, 0, false,
-                                    0, 0});
+    node.toControl->send(ControlMsg{ControlMsg::Ready});
     wsim.spawn(workerJanitor(w));
 
     while (true) {
@@ -597,22 +475,7 @@ ParallelFleet::workerMain(int w)
         bye.kind = StoreMsg::Bye;
         node.toStore->send(bye);
     }
-    node.toControl->send(ControlMsg{ControlMsg::Bye, 0, 0, false,
-                                    0, 0});
-}
-
-core::ColdStartMode
-ParallelFleet::preWarmMode() const
-{
-    switch (cfg.coldStartMode) {
-      case core::ColdStartMode::TieredReap:
-      case core::ColdStartMode::RemoteReap:
-      case core::ColdStartMode::DedupReap:
-      case core::ColdStartMode::BackgroundWarm:
-        return core::ColdStartMode::BackgroundWarm;
-      default:
-        return cfg.coldStartMode;
-    }
+    node.toControl->send(ControlMsg{ControlMsg::Bye});
 }
 
 sim::Task<void>
@@ -623,75 +486,44 @@ ParallelFleet::workerInvoke(int w, WorkerMsg msg)
     const std::string &name =
         mix[static_cast<std::size_t>(msg.fnIdx)].profile.name;
 
-    if (msg.prefetch) {
+    auto fn = static_cast<std::size_t>(msg.fnIdx);
+    ControlMsg reply;
+    reply.kind = ControlMsg::Done;
+    reply.reqId = msg.reqId;
+    reply.fnIdx = msg.fnIdx;
+    reply.request = msg.request;
+
+    if (msg.request == Request::Prefetch) {
         // Control-plane chunk prefetch: warm this worker's tier
         // caches ahead of the predicted window, shielding the bytes
         // from budget eviction until msg.pinUntil (the prefetch-
         // pinned policy's contract). No instance comes up and
         // keep-alive is untouched — only cache state moves.
         co_await orch.backgroundPrefetch(name, msg.pinUntil);
-        --node.liveInvokes;
-
-        ControlMsg reply;
-        reply.kind = ControlMsg::Done;
-        reply.reqId = msg.reqId;
-        reply.fnIdx = msg.fnIdx;
-        reply.prefetch = true;
-        reply.idleNow = orch.idleInstanceCount(name);
-        reply.chunkResidency = orch.chunkResidency(name);
-        node.toControl->send(reply);
-        co_return;
-    }
-
-    if (msg.preWarm) {
+    } else if (msg.request == Request::PreWarm) {
         // Control-plane pre-warm: load an instance ahead of the
         // predicted arrival, don't serve anything. Refresh keep-alive
         // only when an instance actually came up — a no-op or crashed
         // pre-warm must not extend a dead function's residency.
-        auto pbd = co_await orch.preWarm(name, preWarmMode());
+        auto pbd =
+            co_await orch.preWarm(name, preWarmMode(cfg.coldStartMode));
         if (pbd.total > 0 && !pbd.crashed)
-            node.lastUsed[static_cast<std::size_t>(msg.fnIdx)] =
-                kernel.sim(1 + w).now();
-        --node.liveInvokes;
-
-        ControlMsg reply;
-        reply.kind = ControlMsg::Done;
-        reply.reqId = msg.reqId;
-        reply.fnIdx = msg.fnIdx;
-        reply.preWarm = true;
-        reply.idleNow = orch.idleInstanceCount(name);
-        reply.chunkResidency = orch.chunkResidency(name);
-        node.toControl->send(reply);
-        co_return;
-    }
-
-    core::InvokeOptions opts;
-    opts.keepWarm = true;
-    auto bd = co_await orch.invoke(name, cfg.coldStartMode, opts);
-
-    if (cfg.sharedSnapshots && bd.cold) {
-        // Same detection as Cluster::invoke: RemoteReap always
-        // re-fetches; tiered chains report which tier actually served
-        // the WS bytes.
-        bool fetched =
-            cfg.coldStartMode == core::ColdStartMode::RemoteReap;
-        for (const auto &t : bd.tierHits)
-            if (t.tier == "remote")
-                fetched = t.bytes > 0;
-        if (fetched)
+            node.lastUsed[fn] = kernel.sim(1 + w).now();
+    } else {
+        core::InvokeOptions opts;
+        opts.keepWarm = true;
+        bool was_local = orch.artifactsLocal(name);
+        node.row.inFlightPeak =
+            std::max(node.row.inFlightPeak, ++node.row.inFlight);
+        auto bd = co_await orch.invoke(name, cfg.coldStartMode, opts);
+        --node.row.inFlight;
+        node.row.noteServed(bd);
+        if (fetchedRemotely(cfg, bd, was_local))
             ++node.remoteFetches;
+        node.lastUsed[fn] = kernel.sim(1 + w).now();
+        reply.cold = bd.cold;
     }
-
-    node.lastUsed[static_cast<std::size_t>(msg.fnIdx)] =
-        kernel.sim(1 + w).now();
     --node.liveInvokes;
-
-    ControlMsg reply;
-    reply.kind = ControlMsg::Done;
-    reply.reqId = msg.reqId;
-    reply.fnIdx = msg.fnIdx;
-    reply.cold = bd.cold;
-    reply.preWarmHit = bd.preWarmHit;
     reply.idleNow = orch.idleInstanceCount(name);
     reply.chunkResidency = orch.chunkResidency(name);
     node.toControl->send(reply);
@@ -708,6 +540,7 @@ ParallelFleet::workerJanitor(int w)
         co_await wsim.delay(cfg.scalePeriod);
         if (node.stopping)
             break;
+        node.row.noteJanitorTick(orch, cfg.scalePeriod);
         for (std::size_t fn = 0; fn < mix.size(); ++fn) {
             const std::string &name = mix[fn].profile.name;
             if (orch.idleInstanceCount(name) == 0)
@@ -722,7 +555,6 @@ ParallelFleet::workerJanitor(int w)
                 msg.kind = ControlMsg::ScaledDown;
                 msg.fnIdx = static_cast<int>(fn);
                 msg.idleNow = orch.idleInstanceCount(name);
-                msg.stopped = stopped;
                 node.toControl->send(msg);
             }
         }
@@ -755,14 +587,14 @@ ParallelFleet::replyPump(int w, sim::Latch *ready, sim::Latch *byes)
                 mirrorResidency[static_cast<std::size_t>(w)]
                                [static_cast<std::size_t>(msg.fnIdx)] =
                     msg.chunkResidency;
-            if (msg.prefetch) {
+            if (msg.request == Request::Prefetch) {
                 // A prefetch only moved cache bytes: free the
                 // in-flight guard and count it; no invocation, no
                 // instance accounting.
                 prefetchInFlight[static_cast<std::size_t>(
                     msg.fnIdx)] = 0;
                 ++result.bgPrefetches;
-            } else if (msg.preWarm) {
+            } else if (msg.request == Request::PreWarm) {
                 // A pre-warm is not an invocation: it refreshes the
                 // mirror and frees the in-flight guard, nothing else.
                 preWarmInFlight[static_cast<std::size_t>(msg.fnIdx)] =
@@ -770,17 +602,7 @@ ParallelFleet::replyPump(int w, sim::Latch *ready, sim::Latch *byes)
                 ++result.preWarms;
             } else {
                 --mirrorInFlight[static_cast<std::size_t>(w)];
-                ++result.invocations;
-                result.e2eLatencyMs.add(toMs(e2e));
-                if (msg.preWarmHit)
-                    ++result.preWarmHits;
-                if (msg.cold) {
-                    ++result.coldStarts;
-                    result.coldE2eMs.add(toMs(e2e));
-                } else {
-                    ++result.warmHits;
-                    result.warmE2eMs.add(toMs(e2e));
-                }
+                result.noteInvocation(toMs(e2e), msg.cold);
             }
             if (pr.done != nullptr)
                 pr.done->openGate();
@@ -801,7 +623,7 @@ ParallelFleet::replyPump(int w, sim::Latch *ready, sim::Latch *byes)
     }
 }
 
-std::int64_t
+void
 ParallelFleet::dispatch(int fn_idx, sim::Gate *done)
 {
     sim::Simulation &csim = kernel.sim(0);
@@ -816,14 +638,6 @@ ParallelFleet::dispatch(int fn_idx, sim::Gate *done)
     if (activeControl)
         activeControl->noteArrival(name, csim.now());
 
-    std::int64_t id = nextReqId++;
-    PendingReq pr;
-    pr.t0 = csim.now();
-    pr.fnIdx = fn_idx;
-    pr.worker = widx;
-    pr.done = done;
-    pending.emplace(id, pr);
-
     // Optimistically claim the warm instance the route expects to
     // hit; the worker's Done reply re-syncs the true count.
     auto &idle = mirrorIdle[static_cast<std::size_t>(widx)]
@@ -833,11 +647,16 @@ ParallelFleet::dispatch(int fn_idx, sim::Gate *done)
     ++mirrorInFlight[static_cast<std::size_t>(widx)];
 
     WorkerMsg msg;
-    msg.kind = WorkerMsg::Invoke;
-    msg.reqId = id;
     msg.fnIdx = fn_idx;
+    sendRequest(widx, msg, done);
+}
+
+void
+ParallelFleet::sendRequest(int widx, WorkerMsg msg, sim::Gate *done)
+{
+    msg.reqId = nextReqId++;
+    pending.emplace(msg.reqId, PendingReq{kernel.sim(0).now(), done});
     nodes[static_cast<std::size_t>(widx)]->fromControl->send(msg);
-    return id;
 }
 
 sim::Task<void>
@@ -859,7 +678,7 @@ ParallelFleet::arrivalLoop(int fn_idx, sim::Latch *done)
         co_await csim.delay(gap);
 
         sim::Gate gate(csim);
-        (void)dispatch(fn_idx, &gate);
+        dispatch(fn_idx, &gate);
         co_await gate.wait(); // closed loop: next draw after reply
     }
     done->arrive();
@@ -884,7 +703,7 @@ ParallelFleet::trafficArrivalLoop(int fn_idx, sim::Latch *done)
         if (t >= trafficEng->config().horizon)
             break;
         co_await csim.delay(start + t - csim.now());
-        (void)dispatch(fn_idx, nullptr);
+        dispatch(fn_idx, nullptr);
     }
     done->arrive();
 }
@@ -899,12 +718,8 @@ ParallelFleet::controlTickLoop()
         if (controlStopping)
             break;
 
-        ControlTickContext ctx;
-        ctx.now = csim.now();
-        ctx.workers = cfg.workers;
-        if (result.coldE2eMs.count() > 0)
-            ctx.coldP99Ms = result.coldE2eMs.percentile(99);
-        ctx.coldStarts = result.coldStarts;
+        ControlTickContext ctx =
+            controlTickContext(csim.now(), cfg.workers, result);
         ctx.functions.reserve(mix.size());
         for (std::size_t fn = 0; fn < mix.size(); ++fn) {
             const std::string &name = mix[fn].profile.name;
@@ -948,27 +763,13 @@ ParallelFleet::controlTickLoop()
             else
                 preWarmInFlight[fn] = 1;
 
-            // First-class pending request: the shutdown drain waits
-            // for its Done like any invocation, so workers never see
-            // traffic after Shutdown. It does not claim mirror state.
-            std::int64_t id = nextReqId++;
-            PendingReq pr;
-            pr.t0 = csim.now();
-            pr.fnIdx = static_cast<int>(fn);
-            pr.worker = widx;
-            pr.preWarm = !prefetch;
-            pr.prefetch = prefetch;
-            pending.emplace(id, pr);
-
+            // A first-class pending request, like any invocation; it
+            // does not claim mirror state.
             WorkerMsg msg;
-            msg.kind = WorkerMsg::Invoke;
-            msg.reqId = id;
             msg.fnIdx = static_cast<int>(fn);
-            msg.preWarm = !prefetch;
-            msg.prefetch = prefetch;
+            msg.request = prefetch ? Request::Prefetch : Request::PreWarm;
             msg.pinUntil = a.until;
-            nodes[static_cast<std::size_t>(widx)]->fromControl->send(
-                msg);
+            sendRequest(widx, msg, nullptr);
         }
     }
 }
@@ -1014,7 +815,7 @@ ParallelFleet::controlMain()
     co_await byes.wait();
 }
 
-ParallelFleetResult
+FleetStats
 ParallelFleet::run()
 {
     for (int w = 0; w < cfg.workers; ++w)
@@ -1026,38 +827,28 @@ ParallelFleet::run()
 
     kernel.run();
 
+    result.workers = cfg.workers;
     result.eventsProcessed = kernel.totalEventsProcessed();
     result.windows = kernel.stats().windows;
     result.messages = kernel.stats().messages;
-    for (const auto &node : nodes)
+    for (auto &node : nodes) {
+        // Every budget-path observable folds into the result (and
+        // thus the digest), so the thread-count identity covers
+        // eviction, pinning and SSD GC decisions.
         result.scaleDowns += node->scaleDowns;
-    for (const auto &node : nodes) {
-        // Economics counters: fold every budget-path observable into
-        // the result (and thus the digest) so the thread-count
-        // identity covers eviction, pinning and SSD GC decisions.
-        const auto &orch = node->worker->orchestrator();
-        result.pageCachePeakBytes +=
-            orch.tierBudget().peakResidentBytes();
-        result.pageCacheEvictedBytes += orch.tierBudget().evictedBytes();
-        const auto &cc = orch.localChunkCache().stats();
-        result.workerChunkPeakBytes += cc.peakStoredBytes;
-        result.workerChunkBudgetEvictions += cc.budgetEvictions;
-        result.ssdEvictions += orch.ssdEvictions();
-        result.peakSsdBytes += orch.peakSsdBytes();
+        result.remoteArtifactFetches += node->remoteFetches;
+        result.addWorker(std::move(node->row), node->worker->orchestrator(),
+                         fnNames, cfg.sharedSnapshots);
     }
     if (cfg.sharedSnapshots) {
-        result.fleetChunkPeakBytes = fleetChunks.stats().peakStoredBytes;
-        result.fleetChunkBudgetEvictions =
-            fleetChunks.stats().budgetEvictions;
+        // Staging never crashes or re-stages here, so the fleet
+        // index's own counters are exactly the staged population's.
+        result.addSharedStaging(*sharedStore, fleetChunks);
         result.snapshotBuilds = stagingBuilds;
         result.stagedBytes = stagingStagedBytes;
-        result.dedupSavedBytes = stagingDedupSaved;
-        result.chunksUploaded = stagingChunksUploaded;
-        result.chunksDeduped = stagingChunksDeduped;
-        for (const auto &node : nodes)
-            result.remoteArtifactFetches += node->remoteFetches;
-        result.store = sharedStore->stats();
-        result.storeShards = sharedStore->shardStats();
+        result.chunksUploaded = fleetChunks.stats().inserts;
+        result.dedupSavedBytes = fleetChunks.stats().dedupSavedBytes;
+        result.chunkLogicalBytes = fleetChunks.stats().logicalRawBytes;
     }
     return result;
 }

@@ -13,16 +13,25 @@
  * also the kernel's lookahead, so a window spans one fabric hop of
  * simulated time.
  *
- * Relation to cluster::Cluster: same worker model, same Azure mix
+ * Relation to cluster::Cluster: one schema (fleet_stats.hh) — both
+ * configs derive from FleetConfig, both engines report FleetStats
+ * with one digest(), and every step both run is written there once:
+ * validation, worker and shared-store construction, the pre-warm
+ * mode, the off-window record pass, remote-fetch classification, the
+ * control-tick context, per-worker telemetry and the janitor's memory
+ * bill (WorkerFleetRow), and the fold of each orchestrator's counters
+ * (FleetStats::addWorker). Same worker model, same Azure mix
  * (cluster::synthesizeAzureMix), same fabric-hop request shape
  * (request hop + worker-side invoke + response hop), same keep-alive
- * scale-to-zero policy. The control plane routes on a *mirrored* view
- * of worker warm/in-flight state that trails reality by one fabric
- * hop — exactly what a distributed front-end would see — so absolute
- * results differ slightly from the sequential Cluster's omniscient
- * router; what the parallel kernel guarantees is that results are
- * bit-identical across thread counts (threads = 1 is the reference),
- * which tests/test_parallel.cc locks with digest().
+ * scale-to-zero policy. Cluster alone has queue-proxy admission, crash
+ * retries, ScaleHint, restage and retire; fleet_stats.hh lists the
+ * FleetStats fields each engine leaves zero. The control plane routes
+ * on a *mirrored* view of worker warm/in-flight state that trails
+ * reality by one fabric hop — exactly what a distributed front-end
+ * would see — so absolute results differ slightly from the sequential
+ * Cluster's omniscient router; what the parallel kernel guarantees is
+ * that results are bit-identical across thread counts (threads = 1 is
+ * the reference), which tests/test_parallel.cc locks with digest().
  *
  * Shared data plane (sharedSnapshots): the fleet-shared
  * SnapshotRegistry semantics and the artifact ObjectStore run in their
@@ -62,6 +71,7 @@
 
 #include "cluster/azure_workload.hh"
 #include "cluster/control_policy.hh"
+#include "cluster/fleet_stats.hh"
 #include "cluster/routing_policy.hh"
 #include "cluster/traffic.hh"
 #include "core/worker.hh"
@@ -76,43 +86,18 @@
 
 namespace vhive::cluster {
 
-/** Configuration of a parallel fleet run. */
-struct ParallelFleetConfig
+/**
+ * Configuration of a parallel fleet run: the shared fleet fields plus
+ * the parallel engine's own. The control policy ticks in domain 0
+ * against the mirrored fleet view, so predictions, like routing,
+ * trail worker reality by one fabric hop; Pre-warm and Prefetch
+ * actions travel to workers as tracked requests, ScaleHint stays
+ * sequential-Cluster-only.
+ */
+struct ParallelFleetConfig : FleetConfig
 {
-    /** Worker hosts (= worker domains). */
-    int workers = 4;
-
     /** Threads the kernel runs domains on (wall-clock only). */
     int simThreads = 1;
-
-    /** Per-worker host configuration. */
-    core::WorkerConfig worker{};
-
-    /** Cold-start strategy (any mode; see sharedSnapshots). */
-    core::ColdStartMode coldStartMode = core::ColdStartMode::Reap;
-
-    /** Idle time after which instances scale to zero. */
-    Duration keepAlive = sec(600);
-
-    /** Worker-side autoscaler sweep period. */
-    Duration scalePeriod = sec(2);
-
-    /** Front-end routing strategy. */
-    RoutingPolicyKind routingPolicy = RoutingPolicyKind::WarmFirst;
-
-    /**
-     * Predictive control policy, run in the control-plane domain
-     * (domain 0) against the mirrored fleet view — so predictions,
-     * like routing, trail worker reality by one fabric hop, and
-     * digests stay bit-identical across sim thread counts. Pre-warm
-     * and Prefetch actions travel to workers as first-class tracked
-     * requests (a Prefetch warms the home worker's tier caches via
-     * backgroundPrefetch, shielded until the predicted window by the
-     * prefetch-pinned eviction policy); ScaleHint stays
-     * sequential-Cluster-only. None (default) spawns no control tick
-     * at all — bit-identical to the historical kernel.
-     */
-    ControlPolicyKind controlPolicy = ControlPolicyKind::None;
 
     /** Control-policy tick period (controlPolicy != None). */
     Duration controlPeriod = sec(2);
@@ -127,26 +112,6 @@ struct ParallelFleetConfig
      * above is ignored except for preRecordWorkingSets.
      */
     std::optional<TrafficConfig> traffic;
-
-    /**
-     * Fleet-shared staging on the parallel kernel: the snapshot
-     * registry + artifact store run in their own domain and every
-     * worker stages/fetches through request/reply ports. Requires a
-     * remote-capable cold-start mode (TieredReap, RemoteReap or
-     * DedupReap). Off (default): per-worker staging, bit-identical to
-     * the historical behaviour (and no extra domain).
-     */
-    bool sharedSnapshots = false;
-
-    /** Per-shard parameters of the shared store (sharedSnapshots). */
-    net::ObjectStoreParams sharedStore = net::ObjectStoreParams::remote();
-
-    /** Shards behind the shared store (sharedSnapshots; >= 1). */
-    int sharedStoreShards = 1;
-
-    /** Chunk-placement policy across shards (DedupReap staging). */
-    net::ChunkPlacementPolicy chunkPlacement =
-        net::ChunkPlacementPolicy::Hash;
 
     /**
      * Control-plane <-> worker fabric latency: the per-direction hop
@@ -166,128 +131,10 @@ struct ParallelFleetConfig
 
     /** Base seed of the per-worker fault plans. */
     std::uint64_t faultSeed = 0;
-
-    /**
-     * Byte budget of the fleet staged-chunk index in the store domain
-     * (sharedSnapshots + DedupReap; 0 = unlimited). Referenced chunks
-     * are shielded (refcount-protected), mirroring
-     * SnapshotRegistry::setChunkBudget. Worker-side budgets (page
-     * cache, chunk cache, local SSD) ride in `worker.reap`.
-     */
-    Bytes registryChunkBudget = 0;
-
-    /** Victim selection for the budgeted fleet chunk index. */
-    storage::EvictionPolicyKind registryEvictionPolicy =
-        storage::EvictionPolicyKind::Lru;
 };
 
-/** Results of one parallel fleet run. */
-struct ParallelFleetResult
-{
-    std::int64_t invocations = 0;
-    std::int64_t coldStarts = 0;
-    std::int64_t warmHits = 0;
-    std::int64_t scaleDowns = 0;
-
-    /** @name Predictive control plane (controlPolicy != None). */
-    /// @{
-
-    /** Pre-warm requests completed by workers. */
-    std::int64_t preWarms = 0;
-
-    /** Invocations served by a pre-warmed (or mid-warm) instance. */
-    std::int64_t preWarmHits = 0;
-    /// @}
-
-    Samples e2eLatencyMs;  ///< all invocations, completion (Done-reply) order
-    Samples coldE2eMs;     ///< cold-start invocations
-    Samples warmE2eMs;     ///< warm invocations
-
-    /** Kernel work: total events across domains, sync windows. */
-    std::int64_t eventsProcessed = 0;
-    std::int64_t windows = 0;
-    std::int64_t messages = 0;
-
-    /** @name Shared data plane (sharedSnapshots runs; else zero). */
-    /// @{
-
-    /** Functions staged through the store domain (one build each). */
-    std::int64_t snapshotBuilds = 0;
-
-    /** Bytes uploaded into the shared store by staging. */
-    Bytes stagedBytes = 0;
-
-    /** Upload bytes saved by fleet-wide chunk dedup (DedupReap). */
-    Bytes dedupSavedBytes = 0;
-
-    /** Chunks uploaded / referenced-without-upload by staging. */
-    std::int64_t chunksUploaded = 0;
-    std::int64_t chunksDeduped = 0;
-
-    /** Cold starts that pulled artifact bytes through the store. */
-    std::int64_t remoteArtifactFetches = 0;
-
-    /** Shared-store traffic, aggregated and per shard. */
-    net::ObjectStoreStats store{};
-    std::vector<net::ObjectStoreStats> storeShards;
-    /// @}
-
-    /**
-     * @name Cache & storage economics. All zero with budgets off and
-     * no Prefetch actions — the historical behaviour. Every field is
-     * folded into digest(), so the thread-count identity the
-     * determinism suite asserts covers the budgeted paths too.
-     */
-    /// @{
-
-    /** Control-plane Prefetch requests completed by workers. */
-    std::int64_t bgPrefetches = 0;
-
-    /** Worker page-cache peak resident bytes, summed. */
-    Bytes pageCachePeakBytes = 0;
-
-    /** Worker page-cache bytes shed by budget pressure, summed. */
-    Bytes pageCacheEvictedBytes = 0;
-
-    /** Worker chunk-cache peak stored bytes, summed. */
-    Bytes workerChunkPeakBytes = 0;
-
-    /** Worker chunk-cache budget evictions, summed. */
-    std::int64_t workerChunkBudgetEvictions = 0;
-
-    /** Local-SSD artifact copies evicted by ssdBudget, summed. */
-    std::int64_t ssdEvictions = 0;
-
-    /** Peak local artifact bytes, summed across workers. */
-    Bytes peakSsdBytes = 0;
-
-    /** Peak stored bytes of the fleet staged-chunk index. */
-    Bytes fleetChunkPeakBytes = 0;
-
-    /** Budget evictions from the fleet staged-chunk index. */
-    std::int64_t fleetChunkBudgetEvictions = 0;
-    /// @}
-
-    double
-    coldFraction() const
-    {
-        auto total = coldStarts + warmHits;
-        return total ? static_cast<double>(coldStarts) /
-                           static_cast<double>(total)
-                     : 0.0;
-    }
-
-    double coldP50() const { return coldE2eMs.percentile(50); }
-    double coldP99() const { return coldE2eMs.percentile(99); }
-
-    /**
-     * FNV-1a fingerprint over every simulated quantity (per-sample
-     * latency bit patterns in arrival order, counters, event totals).
-     * Two runs are bit-identical iff digests match; the determinism
-     * suite asserts equality across thread counts.
-     */
-    std::uint64_t digest() const;
-};
+/** The parallel engine reports the shared fleet result. */
+using ParallelFleetResult = FleetStats;
 
 /**
  * Builds the domains, wires the ports, runs the workload, aggregates.
@@ -307,7 +154,7 @@ class ParallelFleet
      * Blocking host call (not a coroutine): drives the parallel
      * kernel until every domain is quiescent.
      */
-    ParallelFleetResult run();
+    FleetStats run();
 
     const sim::ParallelKernel::Stats &kernelStats() const
     {
@@ -316,16 +163,18 @@ class ParallelFleet
 
   private:
     /** Control -> worker commands. */
+    /** What a tracked request asks of a worker: serve an invocation,
+     * or (control plane, not an invocation) pre-warm an instance or
+     * prefetch into the tier caches without one. */
+    enum class Request { Invoke, PreWarm, Prefetch };
+
     struct WorkerMsg {
         enum Kind { Invoke, Shutdown } kind = Invoke;
         std::int64_t reqId = 0;
         int fnIdx = 0;
 
-        /** Invoke only: control-plane pre-warm, not an invocation. */
-        bool preWarm = false;
-
-        /** Invoke only: background tier-cache prefetch, no instance. */
-        bool prefetch = false;
+        /** Invoke only: what is asked. */
+        Request request = Request::Invoke;
 
         /** Prefetch only: shield the bytes until then (-1 = none). */
         Time pinUntil = -1;
@@ -338,20 +187,11 @@ class ParallelFleet
         int fnIdx = 0;
         bool cold = false;
 
-        /** Done of a pre-warm request (not an invocation). */
-        bool preWarm = false;
-
-        /** Done of an invocation a pre-warmed instance served. */
-        bool preWarmHit = false;
+        /** Done only: the request answered. */
+        Request request = Request::Invoke;
 
         /** Worker's idle-instance count for fnIdx after the event. */
         std::int64_t idleNow = 0;
-
-        /** Instances stopped (ScaledDown). */
-        std::int64_t stopped = 0;
-
-        /** Done of a background prefetch request. */
-        bool prefetch = false;
 
         /**
          * Worker's chunk residency for fnIdx after the event
@@ -472,6 +312,10 @@ class ParallelFleet
         std::int64_t remoteFetches = 0;
         /// @}
 
+        /** This worker's telemetry row (invocations served, memory
+         * bill), folded into the result by run(). */
+        WorkerFleetRow row;
+
         /** Declared after the ports/client it may reference. */
         std::unique_ptr<core::Worker> worker;
 
@@ -489,13 +333,7 @@ class ParallelFleet
     /** Control-side record of an in-flight request. */
     struct PendingReq {
         Time t0 = 0;
-        int fnIdx = 0;
-        int worker = 0;
         sim::Gate *done = nullptr;
-        bool cold = false;
-        bool preWarm = false;
-        bool prefetch = false;
-        Duration e2e = 0;
     };
 
     /** Mirrored worker state the routing policies consult. */
@@ -532,19 +370,6 @@ class ParallelFleet
         return LocalityHashPolicy::homeWorker(name, cfg.workers);
     }
 
-    /** Whether the configured mode stages chunk manifests. */
-    bool chunkedMode() const
-    {
-        return cfg.coldStartMode == core::ColdStartMode::DedupReap;
-    }
-
-    /**
-     * The ColdStartMode pre-warm requests load through: Sec. 6.3
-     * background working-set warming for the tiered/remote family,
-     * the configured mode itself otherwise (mirrors Cluster).
-     */
-    core::ColdStartMode preWarmMode() const;
-
     /** @name Worker-domain coroutines. */
     /// @{
     sim::Task<void> workerMain(int w);
@@ -553,8 +378,10 @@ class ParallelFleet
     sim::Task<void> workerStorePump(int w);
     sim::Task<void> stageHomeFunctions(int w);
 
-    /** Ship @p msg to the store domain; resumes on its OpDone. */
-    sim::Task<void> storeOp(int w, StoreMsg msg);
+    /** Ship store operation @p op (operands as in StoreMsg) to the
+     * store domain; resumes on its OpDone. */
+    sim::Task<void> storeOp(int w, StoreMsg::OpKind op, Bytes a, Bytes b,
+                            std::int64_t chunks, net::PlacementKey key);
     /// @}
 
     /** @name Store-domain coroutines (sharedSnapshots only). */
@@ -572,8 +399,16 @@ class ParallelFleet
     sim::Task<void> replyPump(int w, sim::Latch *ready,
                               sim::Latch *byes);
 
-    /** Route + dispatch one invocation; returns its request id. */
-    std::int64_t dispatch(int fn_idx, sim::Gate *done);
+    /** Route + dispatch one invocation. */
+    void dispatch(int fn_idx, sim::Gate *done);
+
+    /**
+     * Send @p msg to worker @p widx as a tracked request: @p done
+     * (may be null) opens on its Done reply, and the shutdown drain
+     * waits for that reply, so workers never see traffic after
+     * Shutdown.
+     */
+    void sendRequest(int widx, WorkerMsg msg, sim::Gate *done);
 
     /** Periodic ControlPolicy tick (controlPolicy != None). */
     sim::Task<void> controlTickLoop();
@@ -583,6 +418,7 @@ class ParallelFleet
     sim::ParallelKernel kernel;
     std::vector<AzureMixEntry> mix;
     std::unordered_map<std::string, int> fnIndex;
+    std::vector<std::string> fnNames; ///< mix names, in mix order
     std::vector<std::unique_ptr<WorkerNode>> nodes;
     std::unique_ptr<TrafficEngine> trafficEng;
 
@@ -593,9 +429,6 @@ class ParallelFleet
     storage::ChunkStore fleetChunks;
     std::int64_t stagingBuilds = 0;
     Bytes stagingStagedBytes = 0;
-    Bytes stagingDedupSaved = 0;
-    std::int64_t stagingChunksUploaded = 0;
-    std::int64_t stagingChunksDeduped = 0;
     /// @}
 
     /** @name Control-domain state (domain 0 only). */
@@ -630,7 +463,7 @@ class ParallelFleet
 
     /** Open-loop drain: opened by replyPump when pending empties. */
     std::unique_ptr<sim::Gate> drainGate;
-    ParallelFleetResult result;
+    FleetStats result;
     /// @}
 };
 

@@ -108,6 +108,7 @@ LocalityHashPolicy::route(const RouteContext &ctx)
 }
 
 RoutingPolicyRegistry::RoutingPolicyRegistry()
+    : PolicyRegistry("RoutingPolicy")
 {
     registerPolicy(RoutingPolicyKind::WarmFirst,
                    std::make_unique<WarmFirstPolicy>());
@@ -115,41 +116,6 @@ RoutingPolicyRegistry::RoutingPolicyRegistry()
                    std::make_unique<LeastLoadedPolicy>());
     registerPolicy(RoutingPolicyKind::LocalityHash,
                    std::make_unique<LocalityHashPolicy>());
-}
-
-RoutingPolicy &
-RoutingPolicyRegistry::policyFor(RoutingPolicyKind kind) const
-{
-    RoutingPolicy *policy = find(kind);
-    if (policy == nullptr)
-        fatal("no RoutingPolicy registered for kind %d",
-              static_cast<int>(kind));
-    return *policy;
-}
-
-RoutingPolicy *
-RoutingPolicyRegistry::find(RoutingPolicyKind kind) const
-{
-    auto it = policies.find(kind);
-    return it == policies.end() ? nullptr : it->second.get();
-}
-
-void
-RoutingPolicyRegistry::registerPolicy(
-    RoutingPolicyKind kind, std::unique_ptr<RoutingPolicy> policy)
-{
-    VHIVE_ASSERT(policy != nullptr);
-    policies[kind] = std::move(policy);
-}
-
-std::vector<RoutingPolicyKind>
-RoutingPolicyRegistry::kinds() const
-{
-    std::vector<RoutingPolicyKind> out;
-    out.reserve(policies.size());
-    for (const auto &entry : policies)
-        out.push_back(entry.first);
-    return out;
 }
 
 } // namespace vhive::cluster

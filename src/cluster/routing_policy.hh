@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/policy_registry.hh"
 #include "util/units.hh"
 
 namespace vhive::cluster {
@@ -169,35 +170,12 @@ class LocalityHashPolicy final : public RoutingPolicy
     double overlapWeight = 0.0;
 };
 
-/**
- * Maps each RoutingPolicyKind to its policy object. Built-ins are
- * installed at construction; registerPolicy() swaps any of them for a
- * custom strategy — the same extension path as LoaderRegistry.
- */
+/** The routing-policy registry, built-ins installed. */
 class RoutingPolicyRegistry
+    : public PolicyRegistry<RoutingPolicyKind, RoutingPolicy>
 {
   public:
     RoutingPolicyRegistry();
-
-    RoutingPolicyRegistry(const RoutingPolicyRegistry &) = delete;
-    RoutingPolicyRegistry &
-    operator=(const RoutingPolicyRegistry &) = delete;
-
-    /** Policy for @p kind; fatals when none is registered. */
-    RoutingPolicy &policyFor(RoutingPolicyKind kind) const;
-
-    /** Policy for @p kind, or nullptr when none is registered. */
-    RoutingPolicy *find(RoutingPolicyKind kind) const;
-
-    /** Install (or replace) the policy behind @p kind. */
-    void registerPolicy(RoutingPolicyKind kind,
-                        std::unique_ptr<RoutingPolicy> policy);
-
-    /** All registered kinds, in enum order. */
-    std::vector<RoutingPolicyKind> kinds() const;
-
-  private:
-    std::map<RoutingPolicyKind, std::unique_ptr<RoutingPolicy>> policies;
 };
 
 } // namespace vhive::cluster

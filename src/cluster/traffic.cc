@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "cluster/azure_workload.hh"
 #include "util/logging.hh"
 
 namespace vhive::cluster {
@@ -94,23 +95,10 @@ TrafficEngine::TrafficEngine(TrafficConfig config) : cfg(std::move(config))
 
     // Profiles: same synthesis scheme as the Azure mix, distinct name
     // prefix so traffic- and mix-driven fleets never collide.
-    const auto &pool = func::functionBench();
     profiles.reserve(static_cast<size_t>(cfg.functions));
-    for (int i = 0; i < cfg.functions; ++i) {
-        func::FunctionProfile p;
-        if (!cfg.classMix.empty()) {
-            func::FunctionClass cls =
-                cfg.classMix[static_cast<size_t>(i) %
-                             cfg.classMix.size()];
-            p = func::makeClassProfile(cls, cfg.seed, i);
-        } else {
-            int pool_idx = cfg.profilePool[static_cast<size_t>(i) %
-                                           cfg.profilePool.size()];
-            p = pool[static_cast<size_t>(pool_idx)];
-        }
-        p.name = "tr_" + std::to_string(i) + "_" + p.name;
-        profiles.push_back(std::move(p));
-    }
+    for (int i = 0; i < cfg.functions; ++i)
+        profiles.push_back(mixProfile(cfg.profilePool, cfg.classMix,
+                                      cfg.seed, i, "tr"));
 
     // Uniform tenant assignment from a named sub-stream.
     Rng trng(cfg.seed, "traffic-tenants");
@@ -301,9 +289,7 @@ TrafficWorkload::TrafficWorkload(sim::Simulation &sim, Cluster &cluster,
 sim::Task<void>
 TrafficWorkload::fireOne(int fn)
 {
-    Duration e2e = co_await cluster.invoke(eng.profile(fn).name);
-    result.e2eLatencyMs.add(toMs(e2e));
-    ++result.invocations;
+    (void)co_await cluster.invoke(eng.profile(fn).name);
     ++completed;
     if (launchDone && completed == launched && drained)
         drained->openGate();
@@ -329,34 +315,10 @@ TrafficWorkload::arrivalLoop(int fn, sim::Latch *loops_done)
     loops_done->arrive();
 }
 
-sim::Task<TrafficWorkloadResult>
+sim::Task<FleetStats>
 TrafficWorkload::run()
 {
-    co_await cluster.prepareAllSnapshots();
-
-    core::ColdStartMode mode = cluster.config().coldStartMode;
-    bool mode_needs_record = cluster.worker(0)
-                                 .orchestrator()
-                                 .loaders()
-                                 .loaderFor(mode)
-                                 .needsRecord();
-    if (mode_needs_record && !cluster.config().sharedSnapshots) {
-        // Same off-window record pass as AzureWorkload: deployed
-        // production functions recorded long ago. (Shared staging
-        // already recorded on each home worker.)
-        for (int i = 0; i < eng.functionCount(); ++i) {
-            for (int wi = 0; wi < cluster.workerCount(); ++wi) {
-                auto &orch = cluster.worker(wi).orchestrator();
-                orch.flushHostCaches();
-                core::InvokeOptions opts;
-                opts.forceCold = true;
-                (void)co_await orch.invoke(eng.profile(i).name, mode,
-                                           opts);
-            }
-        }
-        cluster.resetStats();
-    }
-
+    co_await cluster.prepareFleet(true);
     cluster.startAutoscaler();
 
     sim::Latch loops_done(sim, eng.functionCount());
@@ -371,14 +333,7 @@ TrafficWorkload::run()
     }
 
     cluster.stopAutoscaler();
-
-    for (int i = 0; i < eng.functionCount(); ++i) {
-        const auto &st = cluster.stats(eng.profile(i).name);
-        result.coldStarts += st.coldStarts;
-        result.warmHits += st.warmHits;
-        result.failedInvocations += st.failedInvocations;
-    }
-    co_return result;
+    co_return cluster.fleetStats();
 }
 
 } // namespace vhive::cluster

@@ -285,16 +285,6 @@ class TrafficEngine
     std::vector<Duration> phases;   ///< timer phase in [0, period)
 };
 
-/** Results of one open-loop traffic run. */
-struct TrafficWorkloadResult
-{
-    Samples e2eLatencyMs;
-    std::int64_t invocations = 0;
-    std::int64_t coldStarts = 0;
-    std::int64_t warmHits = 0;
-    std::int64_t failedInvocations = 0;
-};
-
 /**
  * Drives a sequential Cluster with TrafficEngine arrivals, open-loop:
  * arrivals fire on schedule whether or not earlier invocations
@@ -310,8 +300,9 @@ class TrafficWorkload
 
     const TrafficEngine &engine() const { return eng; }
 
-    /** Run to completion (all fired invocations finished). */
-    sim::Task<TrafficWorkloadResult> run();
+    /** Run to completion (all fired invocations finished); returns
+     * the cluster's fleetStats() over the measured window. */
+    sim::Task<FleetStats> run();
 
   private:
     sim::Task<void> arrivalLoop(int fn, sim::Latch *loops_done);
@@ -324,7 +315,6 @@ class TrafficWorkload
     std::int64_t completed = 0;
     bool launchDone = false;
     std::unique_ptr<sim::Gate> drained;
-    TrafficWorkloadResult result;
 };
 
 } // namespace vhive::cluster

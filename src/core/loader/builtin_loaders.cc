@@ -448,10 +448,10 @@ TieredReapLoader::makeSource(LoadContext &ctx) const
             "local-ssd",
             std::make_unique<mem::DirectFileSource>(*fs, ws),
             [st](Bytes, Bytes) { return st->artifactsLocal; },
-            std::move(ssdAdmit)});
+            std::move(ssdAdmit), nullptr});
     }
     tiered->addTier(mem::TieredPageSource::Tier{
-        "remote", makeBackstop(ctx), nullptr, nullptr});
+        "remote", makeBackstop(ctx), nullptr, nullptr, nullptr});
     // Persist the serve counters on the function so admit-on-N-hits
     // spans cold starts (the chain itself is rebuilt per start).
     tiered->setAdmitAfterHits(ctx.reap.admitAfterHits,

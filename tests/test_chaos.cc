@@ -492,14 +492,14 @@ TEST(ChaosStaging, SingleFlightNeverDoubleStagesUnderStorm)
  * staging prologue), install the plan and drive the workload.
  */
 template <typename Arm>
-cluster::AzureWorkloadResult
+cluster::FleetStats
 runAzure(cluster::ClusterConfig ccfg, cluster::AzureWorkloadConfig wcfg,
          FaultPlan *plan, Arm &&arm)
 {
     Simulation sim;
     cluster::Cluster c(sim, ccfg);
     cluster::AzureWorkload w(sim, c, wcfg);
-    cluster::AzureWorkloadResult result;
+    cluster::FleetStats result;
     runScenario(sim, [&]() -> Task<void> {
         co_await c.prepareAllSnapshots();
         if (plan != nullptr) {
@@ -512,7 +512,7 @@ runAzure(cluster::ClusterConfig ccfg, cluster::AzureWorkloadConfig wcfg,
     return result;
 }
 
-cluster::AzureWorkloadResult
+cluster::FleetStats
 runAzure(cluster::ClusterConfig ccfg, cluster::AzureWorkloadConfig wcfg)
 {
     return runAzure(ccfg, wcfg, nullptr, [](FaultPlan &, Time) {});
@@ -556,6 +556,8 @@ TEST(ChaosWorkload, FaultFreeBitIdenticalWithDormantPlan)
         EXPECT_EQ(base.e2eLatencyMs.values()[i],
                   dormant_run.e2eLatencyMs.values()[i])
             << "sample " << i;
+    // Every fleet counter, store retries and stalls included.
+    EXPECT_EQ(base.digest(), dormant_run.digest());
 }
 
 TEST(ChaosWorkload, SameSeedSamePlanBitIdentical)
@@ -693,7 +695,7 @@ TEST(ChaosWorkload, OutageOverFlashCrowdWithPreWarmsExactlyOnce)
 
     cluster::TrafficWorkload workload(sim, c, tcfg);
     FaultPlan plan(0xc0a7);
-    cluster::TrafficWorkloadResult r;
+    cluster::FleetStats r;
     runScenario(sim, [&]() -> Task<void> {
         co_await c.prepareAllSnapshots();
         // The whole shared store dark for exactly the crowd window:
@@ -798,6 +800,28 @@ TEST(ChaosParallel, RejectsUnsupportedConfigsWithCleanError)
     cfg.sharedStoreShards = 0;
     EXPECT_EXIT({ cluster::ParallelFleet fleet(cfg); },
                 ::testing::ExitedWithCode(1), "sharedStoreShards");
+
+    // Nonsense values of the shared fleet fields, each on an
+    // otherwise valid config, and the kernel lookahead.
+    auto rejects = [](auto mutate, const char *what) {
+        cluster::ParallelFleetConfig bad;
+        bad.workers = 2;
+        mutate(bad);
+        EXPECT_EXIT({ cluster::ParallelFleet fleet(bad); },
+                    ::testing::ExitedWithCode(1), what);
+    };
+    using Cfg = cluster::ParallelFleetConfig;
+    rejects([](Cfg &c) { c.workers = 0; }, "workers");
+    rejects([](Cfg &c) { c.registryChunkBudget = -1; },
+            "registryChunkBudget");
+    rejects([](Cfg &c) { c.worker.reap.pageCacheBudget = -1; },
+            "pageCacheBudget");
+    rejects([](Cfg &c) { c.worker.reap.chunkCacheBudget = -1; },
+            "chunkCacheBudget");
+    rejects([](Cfg &c) { c.worker.reap.ssdBudget = -1; }, "ssdBudget");
+    rejects([](Cfg &c) { c.keepAlive = 0; }, "keepAlive");
+    rejects([](Cfg &c) { c.scalePeriod = -sec(1); }, "scalePeriod");
+    rejects([](Cfg &c) { c.fabricHop = 0; }, "fabricHop");
 }
 
 } // namespace

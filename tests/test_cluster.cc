@@ -285,7 +285,7 @@ TEST(Cluster, AzureWorkloadLatenciesBitIdentical)
         wcfg.maxInterarrival = sec(20);
         wcfg.horizon = sec(180);
         AzureWorkload w(sim, c, wcfg);
-        AzureWorkloadResult result;
+        FleetStats result;
         runScenario(sim, [&]() -> Task<void> {
             result = co_await w.run();
         });
@@ -296,6 +296,8 @@ TEST(Cluster, AzureWorkloadLatenciesBitIdentical)
     ASSERT_GT(a.invocations, 10);
     EXPECT_EQ(a.invocations, b.invocations);
     EXPECT_EQ(a.coldStarts, b.coldStarts);
+    // And every other fleet counter, through the shared digest.
+    EXPECT_EQ(a.digest(), b.digest());
     // Bit-identical sample-by-sample.
     ASSERT_EQ(a.e2eLatencyMs.values().size(),
               b.e2eLatencyMs.values().size());
@@ -307,6 +309,7 @@ TEST(Cluster, AzureWorkloadLatenciesBitIdentical)
     // A different seed must actually change the trajectory.
     auto c = run_once(0xd1ff);
     EXPECT_NE(a.e2eLatencyMs.sum(), c.e2eLatencyMs.sum());
+    EXPECT_NE(a.digest(), c.digest());
 }
 
 } // namespace

@@ -280,6 +280,7 @@ struct ClusterRun
     std::int64_t warmHits = 0;
     std::int64_t events = 0;
     std::vector<double> e2e;
+    std::uint64_t digest = 0;
 };
 
 ClusterRun
@@ -310,7 +311,7 @@ runTrafficCluster(bool dormant_policy)
     cluster::TrafficWorkload workload(sim, c, tcfg);
 
     ClusterRun r;
-    cluster::TrafficWorkloadResult wr;
+    cluster::FleetStats wr;
     runScenario(sim, [&]() -> Task<void> {
         wr = co_await workload.run();
     });
@@ -319,6 +320,7 @@ runTrafficCluster(bool dormant_policy)
     r.warmHits = wr.warmHits;
     r.events = sim.eventsProcessed();
     r.e2e = wr.e2eLatencyMs.values();
+    r.digest = wr.digest();
     return r;
 }
 
@@ -335,6 +337,9 @@ TEST(ControlCluster, DormantPolicyBitIdenticalToNoPolicy)
     ASSERT_EQ(base.e2e.size(), dormant.e2e.size());
     for (std::size_t i = 0; i < base.e2e.size(); ++i)
         EXPECT_EQ(base.e2e[i], dormant.e2e[i]) << "sample " << i;
+    // Every fleet counter, not only the samples: memory bill,
+    // per-worker rows, store and registry counters.
+    EXPECT_EQ(base.digest, dormant.digest);
 }
 
 TEST(ControlCluster, ActivePolicyPreWarmsAndCutsColds)
@@ -356,7 +361,7 @@ TEST(ControlCluster, ActivePolicyPreWarmsAndCutsColds)
         tcfg.aggregateRps = 0.4;
         tcfg.horizon = sec(240);
         cluster::TrafficWorkload workload(sim, c, tcfg);
-        cluster::TrafficWorkloadResult wr;
+        cluster::FleetStats wr;
         runScenario(sim, [&]() -> Task<void> {
             wr = co_await workload.run();
         });
@@ -426,6 +431,48 @@ TEST(ControlParallel, ActivePolicyDigestStableAcrossThreadCounts)
         cluster::ParallelFleetResult r = run_fleet(threads);
         EXPECT_EQ(r.digest(), ref_digest) << "threads=" << threads;
         EXPECT_EQ(r.preWarms, ref.preWarms) << "threads=" << threads;
+    }
+}
+
+TEST(ControlParallel, WastedPreWarmsReportedAcrossThreadCounts)
+{
+    // Pre-warms for arrivals that never come retire unused when the
+    // keep-alive sweep reaps them. The parallel engine reports them
+    // through the fold it shares with Cluster, and its digest covers
+    // them, identically on every sim thread count.
+    auto run_fleet = [](int threads) {
+        cluster::ParallelFleetConfig cfg;
+        cfg.workers = 4;
+        cfg.simThreads = threads;
+        cfg.coldStartMode = core::ColdStartMode::TieredReap;
+        cfg.sharedSnapshots = true;
+        cfg.routingPolicy = cluster::RoutingPolicyKind::LocalityHash;
+        cfg.controlPolicy = cluster::ControlPolicyKind::HybridHistogram;
+        cfg.keepAlive = sec(15);
+        cluster::TrafficConfig tc;
+        tc.functions = 8;
+        tc.tenants = 3;
+        tc.aggregateRps = 0.5;
+        tc.horizon = sec(150);
+        cfg.traffic = tc;
+        cluster::ParallelFleet fleet(cfg);
+        return fleet.run();
+    };
+
+    // Measured at this size: 13 of 30 completed pre-warm requests
+    // retire unused, 14 serve an invocation.
+    cluster::FleetStats ref = run_fleet(1);
+    ASSERT_GT(ref.preWarms, 0);
+    EXPECT_GT(ref.wastedPreWarms, 0);
+    EXPECT_LE(ref.preWarmHits + ref.wastedPreWarms, ref.preWarms);
+    cluster::FleetStats bumped = ref;
+    ++bumped.wastedPreWarms;
+    EXPECT_NE(bumped.digest(), ref.digest());
+    for (int threads : {2, 4}) {
+        cluster::FleetStats r = run_fleet(threads);
+        EXPECT_EQ(r.wastedPreWarms, ref.wastedPreWarms)
+            << "threads=" << threads;
+        EXPECT_EQ(r.digest(), ref.digest()) << "threads=" << threads;
     }
 }
 

@@ -538,10 +538,10 @@ TEST(MemoryAccounting, ResidentBytesTracksInstances)
     c.deploy(func::profileByName("helloworld"));
     runScenario(sim, [&]() -> Task<void> {
         co_await c.prepareAllSnapshots();
-        EXPECT_EQ(c.residentBytes(), 0);
+        EXPECT_EQ(c.fleetStats().residentBytes, 0);
         (void)co_await c.invoke("helloworld");
-        EXPECT_GT(c.residentBytes(), 8 * kMiB);
-        EXPECT_LT(c.residentBytes(), 40 * kMiB);
+        EXPECT_GT(c.fleetStats().residentBytes, 8 * kMiB);
+        EXPECT_LT(c.fleetStats().residentBytes, 40 * kMiB);
     });
 }
 
@@ -579,7 +579,7 @@ TEST(AzureWorkload, RunsAndAccounts)
     cluster::AzureWorkload workload(sim, c, wcfg);
     ASSERT_EQ(workload.functionNames().size(), 4u);
 
-    cluster::AzureWorkloadResult result;
+    cluster::FleetStats result;
     runScenario(sim, [&]() -> Task<void> {
         result = co_await workload.run();
     });
@@ -588,8 +588,7 @@ TEST(AzureWorkload, RunsAndAccounts)
     EXPECT_EQ(result.coldStarts + result.warmHits,
               result.invocations);
     EXPECT_EQ(result.e2eLatencyMs.count(), result.invocations);
-    EXPECT_GT(result.avgResidentMb, 0.0);
-    EXPECT_GT(result.memoryGbMin, 0.0);
+    EXPECT_GT(result.residentByteSec, 0.0);
     // Pre-recording keeps measured colds on the fast path: even the
     // worst cold (image_rotate-class, ~260 ms REAP) stays far below
     // its vanilla cold (~760 ms).
@@ -609,7 +608,7 @@ TEST(AzureWorkload, DeterministicAcrossRuns)
         wcfg.maxInterarrival = sec(30);
         wcfg.horizon = sec(120);
         cluster::AzureWorkload w(sim, c, wcfg);
-        cluster::AzureWorkloadResult result;
+        cluster::FleetStats result;
         runScenario(sim, [&]() -> Task<void> {
             result = co_await w.run();
         });

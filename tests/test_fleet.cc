@@ -293,7 +293,7 @@ TEST(RoutingPolicy, WarmFirstSelectedExplicitlyMatchesDefault)
         wcfg.maxInterarrival = sec(20);
         wcfg.horizon = sec(120);
         AzureWorkload w(sim, c, wcfg);
-        AzureWorkloadResult result;
+        FleetStats result;
         runScenario(sim, [&]() -> Task<void> {
             result = co_await w.run();
         });
@@ -415,6 +415,29 @@ TEST(Cluster, SharedSnapshotsRejectsLocalOnlyMode)
     cfg.sharedSnapshots = true;
     cfg.coldStartMode = core::ColdStartMode::Reap;
     EXPECT_DEATH({ Cluster c(sim, cfg); }, "remote-capable");
+
+    // The shared validator rejects the other nonsense values too, each
+    // on an otherwise valid config.
+    auto rejects = [&sim](auto mutate, const char *what) {
+        ClusterConfig bad;
+        bad.workers = 2;
+        mutate(bad);
+        EXPECT_DEATH({ Cluster c(sim, bad); }, what);
+    };
+    rejects([](ClusterConfig &c) { c.workers = 0; }, "workers");
+    rejects(
+        [](ClusterConfig &c) {
+            c.sharedSnapshots = true;
+            c.coldStartMode = core::ColdStartMode::TieredReap;
+            c.sharedStoreShards = 0;
+        },
+        "sharedStoreShards");
+    rejects([](ClusterConfig &c) { c.registryChunkBudget = -1; },
+            "registryChunkBudget");
+    rejects([](ClusterConfig &c) { c.worker.reap.ssdBudget = -1; },
+            "ssdBudget");
+    rejects([](ClusterConfig &c) { c.keepAlive = -sec(1); }, "keepAlive");
+    rejects([](ClusterConfig &c) { c.scalePeriod = 0; }, "scalePeriod");
 }
 
 TEST(AzureWorkloadFleet, SharedStagingColdStartsStayCorrect)
@@ -432,7 +455,7 @@ TEST(AzureWorkloadFleet, SharedStagingColdStartsStayCorrect)
     wcfg.maxInterarrival = sec(30);
     wcfg.horizon = sec(240);
     AzureWorkload w(sim, c, wcfg);
-    AzureWorkloadResult result;
+    FleetStats result;
     runScenario(sim, [&]() -> Task<void> {
         result = co_await w.run();
     });

@@ -304,18 +304,19 @@ struct TieredFixture {
             [fs, f](Bytes off, Bytes len) {
                 return fs->isCached(f, off, len);
             },
-            nullptr});
+            nullptr, nullptr});
         tiered.addTier(mem::TieredPageSource::Tier{
             "local-ssd",
             std::make_unique<mem::DirectFileSource>(*fs, f),
             [valid](Bytes, Bytes) { return *valid; },
             [fs, f](Bytes off, Bytes len) {
                 return fs->writeBuffered(f, off, len);
-            }});
+            },
+            nullptr});
         tiered.addTier(mem::TieredPageSource::Tier{
             "remote",
             std::make_unique<mem::RemoteObjectSource>(store),
-            nullptr, nullptr});
+            nullptr, nullptr, nullptr});
     }
 };
 

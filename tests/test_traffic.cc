@@ -251,9 +251,9 @@ TEST(TrafficWorkload, OpenLoopDrivesAndDrains)
     tcfg.horizon = sec(120);
     TrafficWorkload wl(sim, cluster, tcfg);
 
-    TrafficWorkloadResult r;
+    FleetStats r;
     sim.spawn([](TrafficWorkload &wl,
-                 TrafficWorkloadResult &out) -> sim::Task<void> {
+                 FleetStats &out) -> sim::Task<void> {
         out = co_await wl.run();
     }(wl, r));
     sim.run();
