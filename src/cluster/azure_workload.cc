@@ -84,7 +84,7 @@ AzureWorkload::arrivalLoop(int idx, sim::Latch *done)
 sim::Task<FleetStats>
 AzureWorkload::run()
 {
-    co_await cluster.prepareFleet(cfg.preRecordWorkingSets);
+    co_await cluster.prepareFleet();
     cluster.startAutoscaler();
 
     sim::Latch done(sim, cfg.functions);

@@ -45,14 +45,6 @@ struct AzureWorkloadConfig
     std::uint64_t seed = 0xa27e;
 
     /**
-     * Run REAP's one-time record phase for every function before the
-     * measured window (default). Deployed production functions have
-     * long since recorded their working sets; disable to study the
-     * cost of records landing inside the window.
-     */
-    bool preRecordWorkingSets = true;
-
-    /**
      * Indices into func::functionBench() to draw profiles from
      * (cycled). Defaults to the low/medium-weight functions so the
      * mix resembles the short-running production population.

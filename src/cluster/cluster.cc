@@ -47,13 +47,9 @@ Cluster::Cluster(sim::Simulation &sim, ClusterConfig config)
     for (int i = 0; i < cfg.workers; ++i)
         workers.push_back(makeWorker(sim, cfg, i, _sharedStore.get()));
     telemetry.resize(workers.size());
-    if (cfg.sharedSnapshots) {
+    if (cfg.sharedSnapshots)
         _registry = std::make_unique<SnapshotRegistry>(
-            sim, *_sharedStore, workers, cfg.coldStartMode);
-        if (cfg.registryChunkBudget > 0)
-            _registry->setChunkBudget(cfg.registryChunkBudget,
-                                      cfg.registryEvictionPolicy);
-    }
+            sim, *_sharedStore, cfg, &workers);
     activePolicy = &_policies.policyFor(cfg.routingPolicy);
     if (cfg.controlPolicy != ControlPolicyKind::None)
         activeControl = &_controlPolicies.policyFor(cfg.controlPolicy);
@@ -65,12 +61,6 @@ Cluster::setControlPolicy(ControlPolicyKind kind)
     activeControl = kind == ControlPolicyKind::None
                         ? nullptr
                         : &_controlPolicies.policyFor(kind);
-}
-
-void
-Cluster::setRoutingPolicy(RoutingPolicyKind kind)
-{
-    activePolicy = &_policies.policyFor(kind);
 }
 
 void
@@ -123,14 +113,13 @@ Cluster::prepareAllSnapshots()
 }
 
 sim::Task<void>
-Cluster::prepareFleet(bool pre_record)
+Cluster::prepareFleet()
 {
     co_await prepareAllSnapshots();
     std::vector<core::Orchestrator *> orchs;
     for (auto &w : workers)
         orchs.push_back(&w->orchestrator());
-    if (co_await preRecordWorkingSets(cfg, pre_record, std::move(orchs),
-                                      deployOrder))
+    if (co_await preRecordWorkingSets(cfg, std::move(orchs), deployOrder))
         resetStats();
 }
 
@@ -319,24 +308,7 @@ Cluster::fleetStats() const
             mergeStoreStats(fs.store, w->objectStore().stats());
         return fs;
     }
-    fs.addSharedStaging(*_sharedStore, _registry->chunkIndex());
-    fs.snapshotBuilds = _registry->totalBuilds();
-    fs.stagedBytes = _registry->totalStagedBytes();
-    fs.remoteArtifactFetches = _registry->totalRemoteFetches();
-    fs.chunkLogicalBytes = _registry->totalLogicalBytes();
-    fs.dedupSavedBytes = _registry->totalDedupSavedBytes();
-    fs.restages = _registry->totalRestages();
-    fs.retires = _registry->retires();
-    fs.gcReleasedBytes = _registry->gcReleasedBytes();
-    for (const std::string &name : deployOrder) {
-        if (!_registry->isStaged(name))
-            continue;
-        const StagedArtifact &art = _registry->artifact(name);
-        fs.fetchFanIn += art.fetchFanIn();
-        fs.chunksUploaded += art.chunksUploaded;
-        fs.deltaChunksUploaded += art.deltaChunksUploaded;
-        fs.deltaBytesUploaded += art.deltaBytesUploaded;
-    }
+    fs.addSharedStaging(*_sharedStore, *_registry);
     return fs;
 }
 

@@ -108,12 +108,12 @@ class Cluster : private FleetView
     sim::Task<void> prepareAllSnapshots();
 
     /**
-     * prepareAllSnapshots(), then — when @p pre_record — the
-     * off-window record pass (preRecordWorkingSets) on every worker,
-     * resetting the statistics it touched. The set-up step of
-     * AzureWorkload and TrafficWorkload.
+     * prepareAllSnapshots(), then the off-window record pass
+     * (preRecordWorkingSets) on every worker, resetting the
+     * statistics it touched. The set-up step of AzureWorkload and
+     * TrafficWorkload.
      */
-    sim::Task<void> prepareFleet(bool pre_record);
+    sim::Task<void> prepareFleet();
 
     /**
      * Start the autoscaler's keep-alive janitor (detached task). Call
@@ -178,12 +178,6 @@ class Cluster : private FleetView
     }
 
     const ClusterConfig &config() const { return cfg; }
-
-    /** The routing-strategy registry (extension point). */
-    RoutingPolicyRegistry &routingPolicies() { return _policies; }
-
-    /** Switch the active routing policy. */
-    void setRoutingPolicy(RoutingPolicyKind kind);
 
     /** The active routing policy. */
     RoutingPolicy &routingPolicy() { return *activePolicy; }

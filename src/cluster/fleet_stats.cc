@@ -5,6 +5,7 @@
 #include <concepts>
 #include <ranges>
 
+#include "cluster/snapshot_registry.hh"
 #include "util/logging.hh"
 
 namespace vhive::cluster {
@@ -159,15 +160,30 @@ FleetStats::addWorker(WorkerFleetRow row, const core::Orchestrator &orch,
 
 void
 FleetStats::addSharedStaging(const net::ShardedObjectStore &shared,
-                             const storage::ChunkStore &index)
+                             const SnapshotRegistry &registry)
 {
     store = shared.stats();
     storeShards = shared.shardStats();
+    const storage::ChunkStore &index = registry.chunkIndex();
     chunkStoredBytes = index.storedBytes();
     chunksStored = index.chunkCount();
     chunksDeduped = index.stats().dedupHits;
     fleetChunkPeakBytes = index.stats().peakStoredBytes;
     fleetChunkBudgetEvictions = index.stats().budgetEvictions;
+    retires += registry.retires();
+    gcReleasedBytes += registry.gcReleasedBytes();
+    for (const StagedArtifact &art : registry.artifacts()) {
+        snapshotBuilds += art.builds;
+        stagedBytes += art.stagedBytes;
+        remoteArtifactFetches += art.remoteFetches;
+        fetchFanIn += art.fetchFanIn();
+        chunkLogicalBytes += art.logicalBytes;
+        dedupSavedBytes += art.dedupSavedBytes;
+        chunksUploaded += art.chunksUploaded;
+        restages += art.restages;
+        deltaChunksUploaded += art.deltaChunksUploaded;
+        deltaBytesUploaded += art.deltaBytesUploaded;
+    }
 }
 
 std::uint64_t
@@ -334,11 +350,11 @@ controlTickContext(Time now, int workers, const FleetStats &live)
 }
 
 sim::Task<bool>
-preRecordWorkingSets(const FleetConfig &cfg, bool enabled,
+preRecordWorkingSets(const FleetConfig &cfg,
                      std::vector<core::Orchestrator *> orchs,
                      std::vector<std::string> functions)
 {
-    if (!enabled || cfg.sharedSnapshots || orchs.empty() ||
+    if (cfg.sharedSnapshots || orchs.empty() ||
         !orchs.front()
              ->loaders()
              .loaderFor(cfg.coldStartMode)

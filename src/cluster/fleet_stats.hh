@@ -39,12 +39,13 @@
 #include "net/object_store.hh"
 #include "net/sharded_store.hh"
 #include "sim/task.hh"
-#include "storage/chunk_store.hh"
 #include "storage/eviction.hh"
 #include "util/stats.hh"
 #include "util/units.hh"
 
 namespace vhive::cluster {
+
+class SnapshotRegistry;
 
 /**
  * Configuration fields of a fleet, whichever engine runs it.
@@ -373,10 +374,14 @@ struct FleetStats
                    const std::vector<std::string> &functions,
                    bool registry_staging);
 
-    /** Fold the fleet-shared store's traffic and the staged-chunk
-     * index (sharedSnapshots). */
+    /**
+     * Fold the fleet-shared store's traffic and @p registry's staging
+     * counters (sharedSnapshots): its staged-chunk index, and every
+     * staging record's builds, bytes, dedup, fetch and delta counters
+     * summed into the totals. The one staging fold of both engines.
+     */
     void addSharedStaging(const net::ShardedObjectStore &shared,
-                          const storage::ChunkStore &index);
+                          const SnapshotRegistry &registry);
 
     /**
      * Fraction of staged compressed bytes that never crossed the wire
@@ -482,14 +487,13 @@ ControlTickContext controlTickContext(Time now, int workers,
  * every function on every orchestrator (function-major order, host
  * caches flushed before each), so the measured window starts with
  * every working set recorded — deployed production functions recorded
- * long ago. Skipped when @p enabled is false, when the configured
- * mode records nothing, and under shared staging (each home worker
- * already recorded once; the others are meant to pull the staged
- * artifacts in-window). @return whether the pass ran.
+ * long ago. Skipped when the configured mode records nothing, and
+ * under shared staging (each home worker already recorded once; the
+ * others are meant to pull the staged artifacts in-window).
+ * @return whether the pass ran.
  */
 sim::Task<bool> preRecordWorkingSets(
-    const FleetConfig &cfg, bool enabled,
-    std::vector<core::Orchestrator *> orchs,
+    const FleetConfig &cfg, std::vector<core::Orchestrator *> orchs,
     std::vector<std::string> functions);
 
 } // namespace vhive::cluster

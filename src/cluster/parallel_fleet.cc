@@ -66,10 +66,8 @@ ParallelFleet::ParallelFleet(ParallelFleetConfig config)
 
     if (cfg.sharedSnapshots) {
         sharedStore = makeSharedStore(kernel.sim(storeDomain()), cfg);
-        if (cfg.registryChunkBudget > 0)
-            fleetChunks.setBudget(cfg.registryChunkBudget,
-                                  cfg.registryEvictionPolicy,
-                                  /*refcount_protected=*/true);
+        registry = std::make_unique<SnapshotRegistry>(
+            kernel.sim(storeDomain()), *sharedStore, cfg);
         if (!cfg.storeFaults.empty()) {
             // The store domain draws its own deterministic fault
             // stream (FaultPlan is not thread-safe across domains),
@@ -311,42 +309,14 @@ ParallelFleet::storeServe(int w, StoreMsg msg)
 sim::Task<void>
 ParallelFleet::storeStage(StoreMsg msg)
 {
-    const StagePayload &p = *msg.stage;
-    const std::string &name =
-        mix[static_cast<std::size_t>(p.fnIdx)].profile.name;
-    std::uint64_t scope = net::placementScope(name);
-
+    // Every chunk's placement rides the Adopt broadcast so workers
+    // group future batches by the true owning shard.
     auto adopt = std::make_shared<AdoptPayload>();
-    adopt->fnIdx = p.fnIdx;
-    adopt->record = p.record;
-    adopt->manifests = p.manifests;
-
-    ++stagingBuilds;
-    if (p.manifests) {
-        // Chunked staging, mirroring SnapshotRegistry::ensureStaged:
-        // upload only chunks no earlier function staged; duplicates
-        // are referenced in the fleet index and never cross the wire
-        // again. Every chunk's placement rides the Adopt broadcast so
-        // workers group future batches by the true owning shard.
-        for (const storage::ChunkManifest *man :
-             {&p.manifests->vmmState, &p.manifests->ws}) {
-            for (const storage::ChunkRef &c : man->chunks) {
-                if (fleetChunks.addRef(
-                        c, kernel.sim(storeDomain()).now())) {
-                    co_await sharedStore->putChunk(c.storedBytes,
-                                                   {c.hash, scope});
-                    stagingStagedBytes += c.storedBytes;
-                }
-                adopt->placements.emplace_back(
-                    c.hash, sharedStore->shardOf({c.hash, scope}));
-            }
-        }
-    } else {
-        // Blob staging: one put() of VMM state + WS file serves the
-        // whole fleet.
-        co_await sharedStore->put(p.blobBytes, {scope, scope});
-        stagingStagedBytes += p.blobBytes;
-    }
+    adopt->fnIdx = msg.fnIdx;
+    adopt->staged = msg.stage;
+    co_await registry->stage(
+        mix[static_cast<std::size_t>(msg.fnIdx)].profile.name,
+        *msg.stage, &adopt->placements);
 
     StoreReply r;
     r.kind = StoreReply::Adopt;
@@ -364,33 +334,17 @@ ParallelFleet::stageHomeFunctions(int w)
     // only the functions whose LocalityHash ring home it is; every
     // other function arrives as Adopt metadata from the store domain.
     WorkerNode &node = *nodes[static_cast<std::size_t>(w)];
-    auto &orch = node.worker->orchestrator();
 
     for (std::size_t i = 0; i < mix.size(); ++i) {
         const std::string &name = mix[i].profile.name;
         if (homeWorkerOf(name) != w)
             continue;
-        co_await orch.prepareSnapshot(name);
-        if (!orch.hasRecord(name)) {
-            core::InvokeOptions opts;
-            opts.forceCold = true;
-            (void)co_await orch.invoke(name, cfg.coldStartMode,
-                                       opts);
-        }
-        auto payload = std::make_shared<StagePayload>();
-        payload->fnIdx = static_cast<int>(i);
-        payload->record = orch.record(name);
-        if (cfg.coldStartMode == core::ColdStartMode::DedupReap) {
-            (void)orch.buildManifests(name);
-            payload->manifests = orch.manifests(name);
-        } else {
-            payload->blobBytes = core::stagedArtifactBytes(
-                node.worker->config().vmm.vmmStateSize,
-                orch.record(name));
-        }
+        StagePayload p = co_await homeStagePayload(*node.worker, name,
+                                                   cfg.coldStartMode);
         StoreMsg m;
         m.kind = StoreMsg::Stage;
-        m.stage = std::move(payload);
+        m.fnIdx = static_cast<int>(i);
+        m.stage = std::make_shared<const StagePayload>(std::move(p));
         node.toStore->send(m);
     }
 }
@@ -418,7 +372,7 @@ ParallelFleet::workerStorePump(int w)
             orch.adoptStagedArtifacts(
                 mix[static_cast<std::size_t>(r.adopt->fnIdx)]
                     .profile.name,
-                r.adopt->record, r.adopt->manifests);
+                r.adopt->staged->record, r.adopt->staged->manifests);
             if (++node.adopted ==
                 static_cast<std::int64_t>(mix.size()))
                 node.allAdopted->openGate();
@@ -451,8 +405,7 @@ ParallelFleet::workerMain(int w)
         for (const std::string &name : fnNames)
             co_await orch.prepareSnapshot(name);
         (void)co_await preRecordWorkingSets(
-            cfg, cfg.workload.preRecordWorkingSets,
-            std::vector<core::Orchestrator *>(1, &orch), fnNames);
+            cfg, std::vector<core::Orchestrator *>(1, &orch), fnNames);
     }
 
     node.toControl->send(ControlMsg{ControlMsg::Ready});
@@ -840,16 +793,8 @@ ParallelFleet::run()
         result.addWorker(std::move(node->row), node->worker->orchestrator(),
                          fnNames, cfg.sharedSnapshots);
     }
-    if (cfg.sharedSnapshots) {
-        // Staging never crashes or re-stages here, so the fleet
-        // index's own counters are exactly the staged population's.
-        result.addSharedStaging(*sharedStore, fleetChunks);
-        result.snapshotBuilds = stagingBuilds;
-        result.stagedBytes = stagingStagedBytes;
-        result.chunksUploaded = fleetChunks.stats().inserts;
-        result.dedupSavedBytes = fleetChunks.stats().dedupSavedBytes;
-        result.chunkLogicalBytes = fleetChunks.stats().logicalRawBytes;
-    }
+    if (cfg.sharedSnapshots)
+        result.addSharedStaging(*sharedStore, *registry);
     return result;
 }
 

@@ -19,8 +19,11 @@
  * validation, worker and shared-store construction, the pre-warm
  * mode, the off-window record pass, remote-fetch classification, the
  * control-tick context, per-worker telemetry and the janitor's memory
- * bill (WorkerFleetRow), and the fold of each orchestrator's counters
- * (FleetStats::addWorker). Same worker model, same Azure mix
+ * bill (WorkerFleetRow), the fold of each orchestrator's counters
+ * (FleetStats::addWorker), and — under sharedSnapshots — the whole
+ * staging path: homeStagePayload on the home worker, one
+ * SnapshotRegistry staging the payload, and the fold of its counters
+ * (FleetStats::addSharedStaging). Same worker model, same Azure mix
  * (cluster::synthesizeAzureMix), same fabric-hop request shape
  * (request hop + worker-side invoke + response hop), same keep-alive
  * scale-to-zero policy. Cluster alone has queue-proxy admission, crash
@@ -33,20 +36,24 @@
  * that results are bit-identical across thread counts (threads = 1 is
  * the reference), which tests/test_parallel.cc locks with digest().
  *
- * Shared data plane (sharedSnapshots): the fleet-shared
- * SnapshotRegistry semantics and the artifact ObjectStore run in their
- * own kernel domain (index workers + 1). Workers reach the store
- * through typed request/reply CrossPorts: a per-worker StorePortClient
- * implements net::ArtifactStore by shipping each operation to the
- * store domain and waiting for the reply, so loaders and page sources
- * work unchanged. Staging is build-once: each function's home worker
- * (same ring hash as LocalityHashPolicy) boots, records and ships a
- * Stage message; the store domain uploads (chunk-deduplicated under
- * DedupReap, sharded by net::ShardedObjectStore) and broadcasts Adopt
- * metadata — including chunk shard placements — to every worker.
- * Workers signal Ready only after adopting the whole population, so
- * traffic never races staging. All of it flows through ports, so
- * digests stay bit-identical across sim thread counts.
+ * Shared data plane (sharedSnapshots): a SnapshotRegistry and the
+ * fleet-shared artifact store run in their own kernel domain (index
+ * workers + 1). Workers reach the store through typed request/reply
+ * CrossPorts: a per-worker StorePortClient implements
+ * net::ArtifactStore by shipping each operation to the store domain
+ * and waiting for the reply, so loaders and page sources work
+ * unchanged. Staging is build-once: each function's home worker (same
+ * ring hash as LocalityHashPolicy) runs homeStagePayload — boot,
+ * record, manifests or blob size — and ships the payload in a Stage
+ * message; the store domain's registry stages it exactly as Cluster's
+ * does (chunk-deduplicated under DedupReap, sharded by
+ * net::ShardedObjectStore) and the store domain broadcasts Adopt
+ * metadata — including chunk shard placements — to every worker. The
+ * registry lives in the store domain, so cold starts cannot report
+ * remote fetches to it (fetchFanIn stays zero here). Workers signal
+ * Ready only after adopting the whole population, so traffic never
+ * races staging. All of it flows through ports, so digests stay
+ * bit-identical across sim thread counts.
  *
  * Without sharedSnapshots every mode — including RemoteReap and
  * DedupReap — runs per-worker (each worker stages into its own store,
@@ -73,16 +80,14 @@
 #include "cluster/control_policy.hh"
 #include "cluster/fleet_stats.hh"
 #include "cluster/routing_policy.hh"
+#include "cluster/snapshot_registry.hh"
 #include "cluster/traffic.hh"
 #include "core/worker.hh"
-#include "core/ws_file.hh"
 #include "net/rpc.hh"
 #include "net/sharded_store.hh"
 #include "sim/fault.hh"
 #include "sim/parallel.hh"
-#include "storage/chunk_store.hh"
 #include "util/stats.hh"
-#include "vmm/snapshot.hh"
 
 namespace vhive::cluster {
 
@@ -109,7 +114,7 @@ struct ParallelFleetConfig : FleetConfig
      * When set, arrivals come from the TrafficEngine instead of the
      * Azure mix: the engine's profiles are deployed and driven
      * open-loop (burst events overlap in flight). The workload field
-     * above is ignored except for preRecordWorkingSets.
+     * above is then ignored.
      */
     std::optional<TrafficConfig> traffic;
 
@@ -202,18 +207,6 @@ class ParallelFleet
         double chunkResidency = -1;
     };
 
-    /** Staged artifacts shipped from a home worker to the store. */
-    struct StagePayload {
-        int fnIdx = 0;
-        core::WorkingSetRecord record;
-
-        /** Chunk manifests (DedupReap); null for blob staging. */
-        std::shared_ptr<const vmm::SnapshotManifests> manifests;
-
-        /** Blob size to put() when not chunked. */
-        Bytes blobBytes = 0;
-    };
-
     /** Worker -> store-domain requests. */
     struct StoreMsg {
         enum Kind { Op, Stage, Bye } kind = Op;
@@ -223,14 +216,18 @@ class ParallelFleet
         Bytes b = 0; ///< bytes (GetRange), stored bytes (GetChunks)
         std::int64_t chunks = 0;
         net::PlacementKey key{};
-        std::shared_ptr<StagePayload> stage;
+
+        /** Stage only: the function and its home worker's payload. */
+        int fnIdx = 0;
+        std::shared_ptr<const StagePayload> stage;
     };
 
     /** Staged metadata the store domain fans out to every worker. */
     struct AdoptPayload {
         int fnIdx = 0;
-        core::WorkingSetRecord record;
-        std::shared_ptr<const vmm::SnapshotManifests> manifests;
+
+        /** The staged version (record and manifests to adopt). */
+        std::shared_ptr<const StagePayload> staged;
 
         /** Chunk shard placements (content hash -> shard). */
         std::vector<std::pair<std::uint64_t, int>> placements;
@@ -426,9 +423,9 @@ class ParallelFleet
     /// @{
     std::unique_ptr<net::ShardedObjectStore> sharedStore;
     std::unique_ptr<sim::FaultPlan> sharedFaults;
-    storage::ChunkStore fleetChunks;
-    std::int64_t stagingBuilds = 0;
-    Bytes stagingStagedBytes = 0;
+
+    /** Stages the payloads home workers ship (no in-domain fleet). */
+    std::unique_ptr<SnapshotRegistry> registry;
     /// @}
 
     /** @name Control-domain state (domain 0 only). */

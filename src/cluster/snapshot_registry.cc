@@ -7,62 +7,17 @@
 
 namespace vhive::cluster {
 
-SnapshotRegistry::SnapshotRegistry(
-    sim::Simulation &sim, net::ArtifactStore &store,
-    const std::vector<std::unique_ptr<core::Worker>> &workers,
-    core::ColdStartMode mode)
-    : sim(sim), store(store), workers(workers), mode(mode)
+sim::Task<StagePayload>
+homeStagePayload(core::Worker &home, const std::string &name,
+                 core::ColdStartMode mode)
 {
-    VHIVE_ASSERT(!workers.empty());
-}
-
-int
-SnapshotRegistry::homeWorkerFor(const std::string &name) const
-{
-    // Same ring placement as LocalityHashPolicy, so a locality-routed
-    // function's home worker is also the one that built (and kept a
-    // local copy of) its artifacts.
-    return LocalityHashPolicy::homeWorker(
-        name, static_cast<int>(workers.size()));
-}
-
-sim::Task<void>
-SnapshotRegistry::ensureStaged(const std::string &name)
-{
-    Entry &e = entries[name];
-    if (e.art.staged)
-        co_return;
-    if (e.staging) {
-        co_await e.done->wait();
-        co_return;
-    }
-    e.staging = true;
-    if (!e.done)
-        e.done = std::make_unique<sim::Gate>(sim);
-
-    const std::string fault_key = "staging/" + name;
-    if (faults != nullptr) {
-        // Staging service unavailable: work entering an outage window
-        // stalls until it closes (windows are finite, so the loop
-        // always exits).
-        while (const sim::FaultWindow *w = faults->roll(
-                   sim::FaultKind::StagingOutage, fault_key,
-                   sim.now())) {
-            ++faults->stats().stagingStalls;
-            co_await sim.delay(w->end - sim.now());
-        }
-    }
-
-    int home = homeWorkerFor(name);
-    e.art.homeWorker = home;
-    e.art.fetchedBy.assign(workers.size(), false);
-    core::Worker &hw = *workers[static_cast<size_t>(home)];
-    auto &orch = hw.orchestrator();
+    auto &orch = home.orchestrator();
+    StagePayload p;
 
     // Build once: boot + snapshot capture on the home worker.
     std::int64_t builds0 = orch.snapshotBuilds();
     co_await orch.prepareSnapshot(name);
-    e.art.builds += orch.snapshotBuilds() - builds0;
+    p.builds = orch.snapshotBuilds() - builds0;
 
     // Record once: the REAP-family record phase produces the WS and
     // trace files the fleet will prefetch from.
@@ -72,30 +27,114 @@ SnapshotRegistry::ensureStaged(const std::string &name)
         (void)co_await orch.invoke(name, mode, opts);
     }
 
-    std::shared_ptr<const vmm::SnapshotManifests> manifests;
-    co_await stageArtifacts(name, e, manifests);
+    p.record = orch.record(name);
+    if (mode == core::ColdStartMode::DedupReap) {
+        (void)orch.buildManifests(name);
+        p.manifests = orch.manifests(name);
+    } else {
+        p.blobBytes = core::stagedArtifactBytes(
+            home.config().vmm.vmmStateSize, p.record);
+    }
+    co_return p;
+}
 
-    // Fan the metadata out; the artifact bytes move lazily, at each
-    // worker's first cold start, through the remote tier.
-    const core::WorkingSetRecord &rec = orch.record(name);
-    for (auto &w : workers)
-        w->orchestrator().adoptStagedArtifacts(name, rec, manifests);
+SnapshotRegistry::SnapshotRegistry(
+    sim::Simulation &sim, net::ArtifactStore &store,
+    const FleetConfig &cfg,
+    const std::vector<std::unique_ptr<core::Worker>> *fleet)
+    : sim(sim), store(store), fleet(fleet), workerCount(cfg.workers),
+      mode(cfg.coldStartMode)
+{
+    VHIVE_ASSERT(workerCount >= 1);
+    VHIVE_ASSERT(fleet == nullptr ||
+                 static_cast<int>(fleet->size()) == workerCount);
+    if (cfg.registryChunkBudget > 0)
+        sharedChunks.setBudget(cfg.registryChunkBudget,
+                               cfg.registryEvictionPolicy,
+                               /*refcount_protected=*/true);
+}
 
-    e.stagedManifests = manifests;
-    e.art.staged = true;
-    e.staging = false;
-    e.done->openGate();
+int
+SnapshotRegistry::homeWorkerFor(const std::string &name) const
+{
+    // Same ring placement as LocalityHashPolicy, so a locality-routed
+    // function's home worker is also the one that built (and kept a
+    // local copy of) its artifacts.
+    return LocalityHashPolicy::homeWorker(name, workerCount);
 }
 
 sim::Task<void>
-SnapshotRegistry::stageArtifacts(
-    const std::string &name, Entry &e,
-    std::shared_ptr<const vmm::SnapshotManifests> &manifests)
+SnapshotRegistry::waitOutOutage(const std::string &name)
 {
+    if (faults == nullptr)
+        co_return;
+    // Staging service unavailable: work entering an outage window
+    // stalls until it closes (windows are finite, so the loop always
+    // exits).
     const std::string fault_key = "staging/" + name;
-    core::Worker &hw =
-        *workers[static_cast<size_t>(e.art.homeWorker)];
-    auto &orch = hw.orchestrator();
+    while (const sim::FaultWindow *w = faults->roll(
+               sim::FaultKind::StagingOutage, fault_key, sim.now())) {
+        ++faults->stats().stagingStalls;
+        co_await sim.delay(w->end - sim.now());
+    }
+}
+
+sim::Task<bool>
+SnapshotRegistry::claim(const std::string &name)
+{
+    Entry &e = entries[name];
+    if (e.art.staged)
+        co_return false;
+    if (e.staging) {
+        co_await e.done->wait();
+        co_return false;
+    }
+    e.staging = true;
+    if (!e.done)
+        e.done = std::make_unique<sim::Gate>(sim);
+    co_await waitOutOutage(name);
+    e.art.homeWorker = homeWorkerFor(name);
+    e.art.fetchedBy.assign(static_cast<std::size_t>(workerCount), false);
+    co_return true;
+}
+
+sim::Task<void>
+SnapshotRegistry::ensureStaged(const std::string &name)
+{
+    VHIVE_ASSERT(fleet != nullptr);
+    if (!co_await claim(name))
+        co_return;
+    Entry &e = entries.at(name);
+    StagePayload p = co_await homeStagePayload(
+        *(*fleet)[static_cast<std::size_t>(e.art.homeWorker)], name,
+        mode);
+    co_await upload(name, e, p, nullptr);
+    // Fan the metadata out; the artifact bytes move lazily, at each
+    // worker's first cold start, through the remote tier.
+    fanOut(name, p);
+    finish(e, p);
+}
+
+sim::Task<void>
+SnapshotRegistry::stage(const std::string &name, const StagePayload &p,
+                        std::vector<std::pair<std::uint64_t, int>>
+                            *placements)
+{
+    if (!co_await claim(name))
+        co_return;
+    Entry &e = entries.at(name);
+    co_await upload(name, e, p, placements);
+    finish(e, p);
+}
+
+sim::Task<void>
+SnapshotRegistry::upload(
+    const std::string &name, Entry &e, const StagePayload &p,
+    std::vector<std::pair<std::uint64_t, int>> *placements)
+{
+    e.art.builds += p.builds;
+    const std::string fault_key = "staging/" + name;
+    const std::uint64_t scope = net::placementScope(name);
     for (bool staged_ok = false; !staged_ok;) {
         // One staging attempt. A WorkerCrash rolled mid-pass aborts
         // it: per-attempt counters are discarded, chunk references
@@ -105,18 +144,19 @@ SnapshotRegistry::stageArtifacts(
         // the loop terminates and the function still stages exactly
         // once.
         bool crashed = false;
-        if (chunked()) {
+        if (p.manifests) {
             // Chunked staging: upload only chunks no earlier function
             // staged. Duplicate chunks — the shared runtime pages
             // every function's snapshot carries — are referenced in
             // the index and never cross the wire again, fleet-wide.
-            const vmm::SnapshotManifests &m = orch.buildManifests(name);
-            manifests = orch.manifests(name);
+            const vmm::SnapshotManifests &m = *p.manifests;
             Bytes uploaded = 0;
             Bytes saved = 0;
             std::int64_t total = 0;
             std::int64_t ups = 0;
             std::vector<storage::ChunkRef> taken;
+            if (placements != nullptr)
+                placements->clear();
             for (const storage::ChunkManifest *man :
                  {&m.vmmState, &m.ws}) {
                 for (const storage::ChunkRef &c : man->chunks) {
@@ -134,14 +174,19 @@ SnapshotRegistry::stageArtifacts(
                     ++total;
                     taken.push_back(c);
                     if (sharedChunks.addRef(c, sim.now())) {
-                        co_await store.putChunk(
-                            c.storedBytes,
-                            {c.hash, net::placementScope(name)});
+                        co_await store.putChunk(c.storedBytes,
+                                                {c.hash, scope});
                         uploaded += c.storedBytes;
                         ++ups;
                     } else {
                         saved += c.storedBytes;
                     }
+                    // Read now: under OverlapAware placement a chunk
+                    // that dedup-hit another function's in-flight
+                    // upload may report a different shard later.
+                    if (placements != nullptr)
+                        placements->emplace_back(
+                            c.hash, store.shardOf({c.hash, scope}));
                 }
                 if (crashed)
                     break;
@@ -171,20 +216,34 @@ SnapshotRegistry::stageArtifacts(
             }
             // Stage once: one put() of VMM state + WS file serves
             // every worker (vs one staged copy per worker before).
-            Bytes bytes = core::stagedArtifactBytes(
-                hw.config().vmm.vmmStateSize, orch.record(name));
-            co_await store.put(bytes,
-                               {net::placementScope(name),
-                                net::placementScope(name)});
-            e.art.stagedBytes = bytes;
+            co_await store.put(p.blobBytes, {scope, scope});
+            e.art.stagedBytes = p.blobBytes;
         }
         staged_ok = true;
     }
 }
 
+void
+SnapshotRegistry::fanOut(const std::string &name, const StagePayload &p)
+{
+    for (auto &w : *fleet)
+        w->orchestrator().adoptStagedArtifacts(name, p.record,
+                                               p.manifests);
+}
+
+void
+SnapshotRegistry::finish(Entry &e, const StagePayload &p)
+{
+    e.stagedManifests = p.manifests;
+    e.art.staged = true;
+    e.staging = false;
+    e.done->openGate();
+}
+
 sim::Task<void>
 SnapshotRegistry::restage(const std::string &name)
 {
+    VHIVE_ASSERT(fleet != nullptr);
     auto it = entries.find(name);
     VHIVE_ASSERT(it != entries.end());
     Entry &e = it->second;
@@ -203,35 +262,22 @@ SnapshotRegistry::restage(const std::string &name)
     // dedup-hit instead of re-uploading.
     auto prev = std::move(e.stagedManifests);
 
-    if (faults != nullptr) {
-        const std::string fault_key = "staging/" + name;
-        while (const sim::FaultWindow *w = faults->roll(
-                   sim::FaultKind::StagingOutage, fault_key,
-                   sim.now())) {
-            ++faults->stats().stagingStalls;
-            co_await sim.delay(w->end - sim.now());
-        }
-    }
+    co_await waitOutOutage(name);
 
     // Invalidate fleet-wide: no worker may keep serving the stale
     // version's objects, and the home worker's next invocation becomes
     // the re-record phase.
-    for (auto &w : workers)
+    for (auto &w : *fleet)
         w->orchestrator().invalidateRecord(name);
 
-    core::Worker &hw =
-        *workers[static_cast<size_t>(e.art.homeWorker)];
-    auto &orch = hw.orchestrator();
-
     // Re-record on the home worker (same path as the first staging).
-    core::InvokeOptions opts;
-    opts.forceCold = true;
-    (void)co_await orch.invoke(name, mode, opts);
+    StagePayload p = co_await homeStagePayload(
+        *(*fleet)[static_cast<std::size_t>(e.art.homeWorker)], name,
+        mode);
 
     const std::int64_t ups0 = e.art.chunksUploaded;
     const std::int64_t tot0 = e.art.chunksTotal;
-    std::shared_ptr<const vmm::SnapshotManifests> manifests;
-    co_await stageArtifacts(name, e, manifests);
+    co_await upload(name, e, p, nullptr);
 
     ++e.art.restages;
     const std::int64_t ups = e.art.chunksUploaded - ups0;
@@ -247,14 +293,8 @@ SnapshotRegistry::restage(const std::string &name)
         sharedChunks.releaseManifest(prev->ws);
     }
 
-    const core::WorkingSetRecord &rec = orch.record(name);
-    for (auto &w : workers)
-        w->orchestrator().adoptStagedArtifacts(name, rec, manifests);
-
-    e.stagedManifests = manifests;
-    e.art.staged = true;
-    e.staging = false;
-    e.done->openGate();
+    fanOut(name, p);
+    finish(e, p);
 }
 
 void
@@ -267,31 +307,12 @@ SnapshotRegistry::retire(const std::string &name)
     VHIVE_ASSERT(!e.staging);
     if (e.stagedManifests) {
         const Bytes bytes0 = sharedChunks.storedBytes();
-        const std::int64_t chunks0 = sharedChunks.chunkCount();
         sharedChunks.releaseManifest(e.stagedManifests->vmmState);
         sharedChunks.releaseManifest(e.stagedManifests->ws);
         _gcReleasedBytes += bytes0 - sharedChunks.storedBytes();
-        _gcReleasedChunks += chunks0 - sharedChunks.chunkCount();
     }
     ++_retires;
     entries.erase(it);
-}
-
-void
-SnapshotRegistry::setChunkBudget(Bytes budget,
-                                 storage::EvictionPolicyKind policy)
-{
-    sharedChunks.setBudget(budget, policy,
-                           /*refcount_protected=*/true);
-}
-
-std::int64_t
-SnapshotRegistry::totalRestages() const
-{
-    std::int64_t n = 0;
-    for (const auto &entry : entries)
-        n += entry.second.art.restages;
-    return n;
 }
 
 bool
@@ -339,39 +360,6 @@ SnapshotRegistry::totalStagedBytes() const
     for (const auto &entry : entries)
         n += entry.second.art.stagedBytes;
     return n;
-}
-
-std::int64_t
-SnapshotRegistry::totalRemoteFetches() const
-{
-    std::int64_t n = 0;
-    for (const auto &entry : entries)
-        n += entry.second.art.remoteFetches;
-    return n;
-}
-
-Bytes
-SnapshotRegistry::totalLogicalBytes() const
-{
-    Bytes n = 0;
-    for (const auto &entry : entries)
-        n += entry.second.art.logicalBytes;
-    return n;
-}
-
-Bytes
-SnapshotRegistry::totalDedupSavedBytes() const
-{
-    Bytes n = 0;
-    for (const auto &entry : entries)
-        n += entry.second.art.dedupSavedBytes;
-    return n;
-}
-
-bool
-SnapshotRegistry::chunked() const
-{
-    return mode == core::ColdStartMode::DedupReap;
 }
 
 } // namespace vhive::cluster

@@ -4,13 +4,21 @@
  * worker cluster left on the table): snapshot artifacts can live in
  * remote disaggregated storage, so a fleet needs to build and stage
  * each function's snapshot + working-set artifacts exactly once — one
- * build on a deterministic home worker, one put() into the shared
+ * build on a deterministic home worker, one upload into the shared
  * object store — and every other worker cold-starts by pulling the
- * staged artifact through its remote tier instead of rebuilding. The
- * registry turns Cluster::prepareAllSnapshots() from an
- * O(functions x workers) serial build loop into build-once + fan-out
- * metadata adoption, and tracks per-function staged bytes and fetch
- * fan-in (how many workers ever pulled the artifact remotely).
+ * staged artifact through its remote tier instead of rebuilding.
+ *
+ * The staging path is written once, here, for both fleet engines:
+ * homeStagePayload() is the home worker's half (build, record, price
+ * or chunk the artifacts); SnapshotRegistry is the store's half
+ * (single-flight, fault rolls, chunk dedup against the fleet index,
+ * upload, per-artifact accounting) and FleetStats::addSharedStaging
+ * folds its counters. cluster::Cluster owns an in-domain registry that
+ * drives both halves itself (ensureStaged, restage, retire) and turns
+ * prepareAllSnapshots() from an O(functions x workers) serial build
+ * loop into build-once + fan-out metadata adoption. ParallelFleet's
+ * store domain owns one too and stage()s the payloads home workers
+ * ship it over ports.
  */
 
 #ifndef VHIVE_CLUSTER_SNAPSHOT_REGISTRY_HH
@@ -19,11 +27,15 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <ranges>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "cluster/fleet_stats.hh"
 #include "core/options.hh"
 #include "core/worker.hh"
+#include "core/ws_file.hh"
 #include "net/object_store.hh"
 #include "sim/fault.hh"
 #include "sim/simulation.hh"
@@ -102,37 +114,86 @@ struct StagedArtifact
 };
 
 /**
+ * One recorded version of a function's artifacts, as its home worker
+ * hands them to the registry: what the store uploads and what every
+ * worker adopts.
+ */
+struct StagePayload
+{
+    /** The working set the home worker recorded. */
+    core::WorkingSetRecord record;
+
+    /** Chunk manifests (DedupReap); null for blob staging. */
+    std::shared_ptr<const vmm::SnapshotManifests> manifests;
+
+    /** Blob size to put() when not chunked (VMM state + WS file). */
+    Bytes blobBytes = 0;
+
+    /** Snapshot builds the home worker performed to produce it. */
+    std::int64_t builds = 0;
+};
+
+/**
+ * The home worker's half of staging @p name under @p mode: boot and
+ * snapshot (prepareSnapshot, a no-op once built), run the forced-cold
+ * record phase when no working set is recorded, then build the chunk
+ * manifests (DedupReap) or price the blob (stagedArtifactBytes).
+ */
+sim::Task<StagePayload> homeStagePayload(core::Worker &home,
+                                         const std::string &name,
+                                         core::ColdStartMode mode);
+
+/**
  * Stages each deployed function's artifacts into the shared object
- * store exactly once, even under concurrent ensureStaged() calls (the
- * first caller builds, later callers wait on a per-function gate).
- * Owned by Cluster when cross-worker snapshot sharing is enabled.
+ * store exactly once, even under concurrent staging calls (the first
+ * caller stages, later callers wait on a per-function gate). Owned by
+ * Cluster (in-domain, with the fleet: ensureStaged/restage/retire) and
+ * by ParallelFleet's store domain (without it: stage()).
  */
 class SnapshotRegistry
 {
   public:
     /**
-     * @param workers The fleet (borrowed; the owning Cluster outlives
-     * the registry). @param mode The cluster's cold-start mode — used
-     * for the home worker's record-phase invocation so the recorded
-     * artifacts match what the fleet will restore with.
+     * @param store The fleet-shared store staging uploads into.
+     * @param cfg The fleet: its worker count places home workers, its
+     * cold-start mode is the one the record phase runs (so recorded
+     * artifacts match what the fleet restores with), and its
+     * registryChunkBudget caps the staged-chunk index.
+     * @param fleet The in-domain workers (borrowed; the owning
+     * Cluster outlives the registry), required by ensureStaged() and
+     * restage(). Null when the workers live in other domains and
+     * ship their payloads to stage().
      */
     SnapshotRegistry(
         sim::Simulation &sim, net::ArtifactStore &store,
-        const std::vector<std::unique_ptr<core::Worker>> &workers,
-        core::ColdStartMode mode);
+        const FleetConfig &cfg,
+        const std::vector<std::unique_ptr<core::Worker>> *fleet =
+            nullptr);
 
     SnapshotRegistry(const SnapshotRegistry &) = delete;
     SnapshotRegistry &operator=(const SnapshotRegistry &) = delete;
 
     /**
-     * Build + stage @p name's artifacts if not already staged: boot
-     * and snapshot on the home worker, run the record phase there,
-     * put() the artifacts into the shared store, then fan the metadata
-     * out to every other worker (adoptStagedArtifacts). Concurrent
-     * callers for the same function wait for the single in-flight
-     * staging instead of duplicating it.
+     * Build + stage @p name's artifacts if not already staged: build
+     * and record on the home worker (homeStagePayload), upload, then
+     * fan the metadata out to every worker (adoptStagedArtifacts).
+     * Concurrent callers for the same function wait for the single
+     * in-flight staging instead of duplicating it.
      */
     sim::Task<void> ensureStaged(const std::string &name);
+
+    /**
+     * Stage @p payload as @p name's artifacts unless already staged:
+     * the path of a registry whose workers live in other domains —
+     * the caller ships the home worker's payload in and fans the
+     * metadata out. When @p placements is non-null, each manifest
+     * chunk's (content hash, owning shard) is appended, read right
+     * after that chunk's dedup check and upload.
+     */
+    sim::Task<void>
+    stage(const std::string &name, const StagePayload &payload,
+          std::vector<std::pair<std::uint64_t, int>> *placements =
+              nullptr);
 
     /**
      * Re-record + delta re-stage @p name (the function's code was
@@ -157,34 +218,25 @@ class SnapshotRegistry
      */
     void retire(const std::string &name);
 
-    /**
-     * Cap the fleet staged-chunk index at @p budget resident stored
-     * bytes (0 = unlimited). Referenced chunks are shielded
-     * (refcount-protected — the index must never lose a chunk a live
-     * manifest needs); zero-ref chunks left behind by retire() or
-     * restage() become the evictable pool.
-     */
-    void setChunkBudget(Bytes budget,
-                        storage::EvictionPolicyKind policy =
-                            storage::EvictionPolicyKind::Lru);
-
-    /** Completed restage() passes across functions. */
-    std::int64_t totalRestages() const;
-
     /** Functions retired (GC'd) so far. */
     std::int64_t retires() const { return _retires; }
 
     /** Stored bytes retire() reclaimed from the shared index. */
     Bytes gcReleasedBytes() const { return _gcReleasedBytes; }
 
-    /** Chunks retire() dropped from the shared index. */
-    std::int64_t gcReleasedChunks() const { return _gcReleasedChunks; }
-
     /** Whether @p name has been staged. */
     bool isStaged(const std::string &name) const;
 
     /** Staging record for @p name (must be staged or staging). */
     const StagedArtifact &artifact(const std::string &name) const;
+
+    /** Every staging record (staged or in flight), in name order. */
+    auto
+    artifacts() const
+    {
+        return entries | std::views::values |
+               std::views::transform(&Entry::art);
+    }
 
     /** Deterministic home worker for @p name (hash on the ring). */
     int homeWorkerFor(const std::string &name) const;
@@ -199,31 +251,22 @@ class SnapshotRegistry
     /** Sum of staged bytes across functions. */
     Bytes totalStagedBytes() const;
 
-    /** Sum of remote artifact fetches across functions. */
-    std::int64_t totalRemoteFetches() const;
-
-    /** Sum of raw artifact bytes staged (chunked staging only). */
-    Bytes totalLogicalBytes() const;
-
-    /** Sum of upload bytes saved by chunk dedup across functions. */
-    Bytes totalDedupSavedBytes() const;
-
     /**
      * The fleet staged-chunk index (chunked staging): every distinct
      * chunk in the shared store, refcounted by referencing manifests.
+     * Referenced chunks are shielded from the registryChunkBudget;
+     * zero-ref chunks left behind by retire() or restage() are the
+     * evictable pool.
      */
     const storage::ChunkStore &chunkIndex() const
     {
         return sharedChunks;
     }
 
-    /** Whether this registry stages chunk manifests (DedupReap). */
-    bool chunked() const;
-
     /**
      * Install a fault plan on staging passes; specs are matched
      * against "staging/<function>". A StagingOutage window stalls
-     * ensureStaged work entering it; a WorkerCrash aborts the staging
+     * staging work entering it; a WorkerCrash aborts the staging
      * pass mid-flight — chunk references taken by the aborted attempt
      * are released (the index rolls back) and the pass retries, so a
      * function is still staged exactly once. Null detaches; the plan
@@ -248,19 +291,36 @@ class SnapshotRegistry
     };
 
     /**
-     * One staging pass (with crash-retry) for @p name on its home
-     * worker: the shared body of ensureStaged() and restage().
-     * Requires the record phase to have run; fills @p e's counters and
-     * @p manifests (chunked staging).
+     * Take @p name's first staging pass through the single-flight
+     * gate and any staging outage. @return whether this caller owns
+     * the pass (false: already staged, or another caller's pass
+     * completed while this one waited).
+     */
+    sim::Task<bool> claim(const std::string &name);
+
+    /** Stall while a StagingOutage window covers @p name. */
+    sim::Task<void> waitOutOutage(const std::string &name);
+
+    /**
+     * The upload core of every staging pass, with crash-retry:
+     * upload @p p for @p e (chunk-deduplicated against the fleet
+     * index when it carries manifests, one blob put() otherwise) and
+     * fold the pass — its builds included — into @p e's counters.
      */
     sim::Task<void>
-    stageArtifacts(const std::string &name, Entry &e,
-                   std::shared_ptr<const vmm::SnapshotManifests>
-                       &manifests);
+    upload(const std::string &name, Entry &e, const StagePayload &p,
+           std::vector<std::pair<std::uint64_t, int>> *placements);
+
+    /** Hand @p p's metadata to every in-domain worker. */
+    void fanOut(const std::string &name, const StagePayload &p);
+
+    /** Mark @p e staged as @p p's version and wake its waiters. */
+    void finish(Entry &e, const StagePayload &p);
 
     sim::Simulation &sim;
     net::ArtifactStore &store;
-    const std::vector<std::unique_ptr<core::Worker>> &workers;
+    const std::vector<std::unique_ptr<core::Worker>> *fleet;
+    int workerCount;
     core::ColdStartMode mode;
     std::map<std::string, Entry> entries;
     storage::ChunkStore sharedChunks;
@@ -272,7 +332,6 @@ class SnapshotRegistry
     /// @{
     std::int64_t _retires = 0;
     Bytes _gcReleasedBytes = 0;
-    std::int64_t _gcReleasedChunks = 0;
     /// @}
 };
 

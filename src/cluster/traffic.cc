@@ -318,7 +318,7 @@ TrafficWorkload::arrivalLoop(int fn, sim::Latch *loops_done)
 sim::Task<FleetStats>
 TrafficWorkload::run()
 {
-    co_await cluster.prepareFleet(true);
+    co_await cluster.prepareFleet();
     cluster.startAutoscaler();
 
     sim::Latch loops_done(sim, eng.functionCount());

@@ -1,5 +1,6 @@
 #include "sim/frame_pool.hh"
 
+#include <mutex>
 #include <new>
 #include <vector>
 
@@ -36,7 +37,21 @@ struct Arena {
     // block 0 is handed out).
     std::vector<void *> slabs;
     FramePool::Stats stats;
+
+    /** Next arena in the process-wide list (allArenas). */
+    Arena *next = nullptr;
 };
+
+/**
+ * Every arena ever created, threaded through Arena::next. The list
+ * keeps arenas of exited threads — parallel-kernel pool threads among
+ * them — reachable for LeakSanitizer; their slabs are never freed,
+ * because a frame allocated on one thread may be freed on another, so
+ * any thread's free lists can hold blocks carved from another
+ * thread's slabs.
+ */
+std::mutex allArenasMutex;
+Arena *allArenas = nullptr;
 
 Arena &
 arena()
@@ -45,7 +60,13 @@ arena()
     // static or thread-local teardown in any order, so the arena must
     // outlive every frame. One arena per thread; the OS reclaims it at
     // process exit.
-    static thread_local Arena *a = new Arena;
+    static thread_local Arena *a = [] {
+        auto *fresh = new Arena;
+        std::lock_guard<std::mutex> lock(allArenasMutex);
+        fresh->next = allArenas;
+        allArenas = fresh;
+        return fresh;
+    }();
     return *a;
 }
 

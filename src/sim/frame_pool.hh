@@ -13,10 +13,11 @@
  * ::operator new.
  *
  * The arena is per-thread (simulations are single-threaded; tests may
- * run sims on several threads) and intentionally leaked so frames can
- * be released during any static/thread teardown order. Free lists are
- * LIFO: the most recently freed frame — still cache-hot — is reused
- * first.
+ * run sims on several threads) and never freed, so frames can be
+ * released during any static/thread teardown order; a process-wide
+ * list keeps every arena reachable after its thread exits. Free lists
+ * are LIFO: the most recently freed frame — still cache-hot — is
+ * reused first.
  */
 
 #ifndef VHIVE_SIM_FRAME_POOL_HH

@@ -12,8 +12,11 @@
 #include <tuple>
 #include <vector>
 
+#include "cluster/azure_workload.hh"
+#include "cluster/cluster.hh"
 #include "cluster/parallel_fleet.hh"
 #include "sim/parallel.hh"
+#include "sim/simulation.hh"
 #include "sim/sync.hh"
 #include "sim/task.hh"
 #include "util/units.hh"
@@ -268,9 +271,9 @@ TEST(ParallelFleet, BitIdenticalAcrossThreadCounts)
     }
 }
 
-ParallelFleetResult
-runSharedScenario(core::ColdStartMode mode, int threads, int shards,
-                  bool traffic)
+ParallelFleetConfig
+sharedConfig(core::ColdStartMode mode, int threads, int shards,
+             bool traffic)
 {
     ParallelFleetConfig cfg;
     cfg.workers = 4;
@@ -303,7 +306,14 @@ runSharedScenario(core::ColdStartMode mode, int threads, int shards,
         cfg.workload.maxInterarrival = sec(20);
         cfg.workload.horizon = sec(120);
     }
-    ParallelFleet fleet(cfg);
+    return cfg;
+}
+
+ParallelFleetResult
+runSharedScenario(core::ColdStartMode mode, int threads, int shards,
+                  bool traffic)
+{
+    ParallelFleet fleet(sharedConfig(mode, threads, shards, traffic));
     return fleet.run();
 }
 
@@ -356,6 +366,45 @@ TEST(ParallelFleet, TrafficDrivenSharedBitIdentical)
         ParallelFleetResult r = runSharedScenario(
             core::ColdStartMode::TieredReap, threads, 2, true);
         EXPECT_EQ(r.digest(), ref_digest) << "threads=" << threads;
+    }
+}
+
+TEST(ParallelFleet, StagesLikeClusterInBothSharedModes)
+{
+    // Both engines stage through one SnapshotRegistry: the same mix
+    // on the same fleet must report the same staging counters whether
+    // Cluster stages it in-domain or ParallelFleet's store domain
+    // stages the payloads home workers ship over ports.
+    for (core::ColdStartMode mode : {core::ColdStartMode::DedupReap,
+                                     core::ColdStartMode::TieredReap}) {
+        ParallelFleetConfig pcfg = sharedConfig(mode, 1, 2, false);
+        FleetStats par = ParallelFleet(pcfg).run();
+
+        sim::Simulation sim;
+        ClusterConfig ccfg;
+        static_cast<FleetConfig &>(ccfg) = pcfg;
+        Cluster cluster(sim, ccfg);
+        for (const AzureMixEntry &e : synthesizeAzureMix(pcfg.workload))
+            cluster.deploy(e.profile);
+        sim.spawn(cluster.prepareAllSnapshots());
+        sim.run();
+        FleetStats seq = cluster.fleetStats();
+
+        const char *name = core::coldStartModeName(mode);
+        EXPECT_EQ(seq.snapshotBuilds, 6) << name;
+        EXPECT_GT(seq.stagedBytes, 0) << name;
+        EXPECT_EQ(par.snapshotBuilds, seq.snapshotBuilds) << name;
+        EXPECT_EQ(par.stagedBytes, seq.stagedBytes) << name;
+        EXPECT_EQ(par.chunksUploaded, seq.chunksUploaded) << name;
+        EXPECT_EQ(par.dedupSavedBytes, seq.dedupSavedBytes) << name;
+        EXPECT_EQ(par.chunkLogicalBytes, seq.chunkLogicalBytes) << name;
+        EXPECT_EQ(par.fleetChunkPeakBytes, seq.fleetChunkPeakBytes)
+            << name;
+        EXPECT_EQ(par.chunksStored, seq.chunksStored) << name;
+        if (mode == core::ColdStartMode::DedupReap) {
+            EXPECT_GT(seq.chunksUploaded, 0);
+            EXPECT_GT(seq.dedupSavedBytes, 0);
+        }
     }
 }
 
