@@ -29,13 +29,13 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench/common.hh"
-#include "cluster/cluster.hh"
+#include "bench/fleet_run.hh"
+#include "cluster/parallel_fleet.hh"
 #include "cluster/control_policy.hh"
 #include "cluster/traffic.hh"
 #include "core/options.hh"
@@ -82,20 +82,11 @@ trafficConfig(bool periodic)
     return tcfg;
 }
 
-struct CellResult
-{
-    cluster::FleetStats workload;
-    cluster::FleetStats fleet;
-    double wall_s = 0;
-    double events_per_sec = 0;
-};
-
-CellResult
+bench::FleetRun
 runCell(bool periodic, storage::EvictionPolicyKind policy,
         Bytes page_budget, Bytes chunk_budget)
 {
-    sim::Simulation sim;
-    cluster::ClusterConfig cfg;
+    cluster::ParallelFleetConfig cfg;
     cfg.workers = 4;
     cfg.coldStartMode = core::ColdStartMode::DedupReap;
     cfg.sharedSnapshots = true;
@@ -108,25 +99,8 @@ runCell(bool periodic, storage::EvictionPolicyKind policy,
     cfg.worker.reap.pageCacheBudget = page_budget;
     cfg.worker.reap.chunkCacheBudget = chunk_budget;
     cfg.worker.reap.evictionPolicy = policy;
-    cluster::Cluster c(sim, cfg);
-
-    cluster::TrafficWorkload workload(sim, c,
-                                      trafficConfig(periodic));
-
-    CellResult r;
-    auto host0 = std::chrono::steady_clock::now();
-    bench::runScenario(sim, [&]() -> sim::Task<void> {
-        co_await c.prepareAllSnapshots();
-        r.workload = co_await workload.run();
-    });
-    auto host1 = std::chrono::steady_clock::now();
-    r.fleet = c.fleetStats();
-    r.wall_s = std::chrono::duration<double>(host1 - host0).count();
-    r.events_per_sec =
-        r.wall_s > 0
-            ? static_cast<double>(sim.eventsProcessed()) / r.wall_s
-            : 0;
-    return r;
+    cfg.traffic = trafficConfig(periodic);
+    return bench::timedFleetRun(cfg);
 }
 
 Bytes
@@ -154,7 +128,7 @@ main()
         // Unbounded baseline: budgets at zero are accounting-only, so
         // this run both anchors the p99 comparison and measures the
         // peak resident bytes the budgeted cells are scaled from.
-        CellResult unb = runCell(
+        bench::FleetRun unb = runCell(
             periodic, storage::EvictionPolicyKind::Lru, 0, 0);
         Bytes unb_peak = cachePeak(unb.fleet);
         double unb_p99 = unb.fleet.coldP99();
@@ -162,8 +136,8 @@ main()
             .cell(tname)
             .cell("lru")
             .cell("unbounded")
-            .cell(unb.workload.invocations)
-            .cell(unb.workload.coldStarts)
+            .cell(unb.fleet.invocations)
+            .cell(unb.fleet.coldStarts)
             .cell(unb_p99, 1)
             .cell(1.0, 2)
             .cell(static_cast<double>(unb_peak) / 1e6, 1)
@@ -202,7 +176,7 @@ main()
                             unb.fleet.workerChunkPeakBytes)) /
                         4,
                     256 * kKiB);
-                CellResult r = runCell(periodic, policy, page_b,
+                bench::FleetRun r = runCell(periodic, policy, page_b,
                                        chunk_b);
                 const auto &fs = r.fleet;
                 const char *pname = storage::evictionPolicyName(policy);
@@ -221,8 +195,8 @@ main()
                     .cell(tname)
                     .cell(pname)
                     .cell(budget)
-                    .cell(r.workload.invocations)
-                    .cell(r.workload.coldStarts)
+                    .cell(r.fleet.invocations)
+                    .cell(r.fleet.coldStarts)
                     .cell(p99, 1)
                     .cell(vs_unb, 2)
                     .cell(static_cast<double>(peak) / 1e6, 1)

@@ -11,7 +11,8 @@
  *             (tail-latency pressure, nothing fails),
  *   severe  — stragglers, per-request error retries, a hard ten-second
  *             store outage, and worker crashes mid-cold-start (the
- *             cluster retries; some invocations fail after retries).
+ *             control plane retries; some invocations fail after
+ *             retries).
  *
  * Reported per cell: invocations, cold fraction, cold/e2e p50/p99,
  * failed invocations, and the fault-event counters, so the table reads
@@ -30,13 +31,13 @@
  * all-stores blackout the severe cell measures.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench/common.hh"
-#include "cluster/azure_workload.hh"
-#include "cluster/cluster.hh"
+#include "bench/fleet_run.hh"
+#include "cluster/parallel_fleet.hh"
 #include "cluster/traffic.hh"
 #include "core/options.hh"
 #include "sim/fault.hh"
@@ -64,12 +65,13 @@ intensityName(Intensity lvl)
 }
 
 /**
- * Build the fault plan for one intensity. Windows are relative to
- * @p base (simulated time after staging finished) so they cover the
- * measured workload window, not the staging prologue.
+ * Add the fault specs of one intensity to @p plan. Windows are
+ * relative to @p base (simulated time after staging finished) so they
+ * cover the measured workload window, not the staging prologue.
  */
 void
-arm(sim::FaultPlan &plan, Intensity lvl, Time base, Duration horizon)
+arm(std::vector<sim::FaultSpec> &plan, Intensity lvl, Time base,
+    Duration horizon)
 {
     auto add = [&](sim::FaultKind kind, const char *target, Time start,
                    Time end, double magnitude, double probability) {
@@ -78,7 +80,7 @@ arm(sim::FaultPlan &plan, Intensity lvl, Time base, Duration horizon)
         s.target = target;
         s.windows.push_back(
             sim::FaultWindow{start, end, magnitude, probability});
-        plan.add(s);
+        plan.push_back(s);
     };
     Time end = base + horizon;
     switch (lvl) {
@@ -106,67 +108,28 @@ arm(sim::FaultPlan &plan, Intensity lvl, Time base, Duration horizon)
     }
 }
 
-struct CellResult
-{
-    cluster::FleetStats workload;
-    cluster::FleetStats fleet;
-    sim::FaultStats faults;
-    double wall_s = 0;
-    double events_per_sec = 0;
-};
-
-CellResult
+bench::FleetRun
 runCell(Intensity lvl)
 {
-    sim::Simulation sim;
-    cluster::ClusterConfig cfg;
+    cluster::ParallelFleetConfig cfg;
     cfg.workers = 4;
     cfg.coldStartMode = core::ColdStartMode::TieredReap;
     cfg.sharedSnapshots = true;
     cfg.keepAlive = sec(60);
-    cluster::Cluster c(sim, cfg);
-
-    cluster::AzureWorkloadConfig wcfg;
-    wcfg.functions = 12;
-    wcfg.minInterarrival = sec(5);
-    wcfg.maxInterarrival = sec(240);
-    wcfg.horizon = sec(900);
-    wcfg.classMix = {func::FunctionClass::MlInference,
-                     func::FunctionClass::Media,
-                     func::FunctionClass::Etl};
-
-    cluster::AzureWorkload workload(sim, c, wcfg);
-    sim::FaultPlan plan(0xc4a05);
-    CellResult r;
-    auto host0 = std::chrono::steady_clock::now();
-    bench::runScenario(sim, [&]() -> sim::Task<void> {
-        co_await c.prepareAllSnapshots();
-        if (lvl != Intensity::None) {
-            arm(plan, lvl, sim.now(), wcfg.horizon);
-            c.installFaultPlan(&plan);
-        }
-        r.workload = co_await workload.run();
-        c.installFaultPlan(nullptr);
-    });
-    auto host1 = std::chrono::steady_clock::now();
-    r.fleet = c.fleetStats();
-    r.faults = plan.stats();
-    r.wall_s = std::chrono::duration<double>(host1 - host0).count();
-    r.events_per_sec =
-        r.wall_s > 0
-            ? static_cast<double>(sim.eventsProcessed()) / r.wall_s
-            : 0;
-    return r;
+    cfg.workload.functions = 12;
+    cfg.workload.minInterarrival = sec(5);
+    cfg.workload.maxInterarrival = sec(240);
+    cfg.workload.horizon = sec(900);
+    cfg.workload.classMix = {func::FunctionClass::MlInference,
+                             func::FunctionClass::Media,
+                             func::FunctionClass::Etl};
+    if (lvl != Intensity::None) {
+        arm(cfg.storeFaults, lvl, bench::fleetReadyAt(cfg),
+            cfg.workload.horizon);
+        cfg.faultSeed = 0xc4a05;
+    }
+    return bench::timedFleetRun(cfg);
 }
-
-struct ShardCellResult
-{
-    cluster::FleetStats workload;
-    cluster::FleetStats fleet;
-    sim::FaultStats faults;
-    double wall_s = 0;
-    double events_per_sec = 0;
-};
 
 /**
  * One store shard (of four) goes dark for the full duration of a
@@ -180,11 +143,10 @@ struct ShardCellResult
  * without double- or zero-counting anything — every accepted
  * invocation still lands in exactly one of cold/warm/failed.
  */
-ShardCellResult
+bench::FleetRun
 runShardOutageCell(cluster::ControlPolicyKind control)
 {
-    sim::Simulation sim;
-    cluster::ClusterConfig cfg;
+    cluster::ParallelFleetConfig cfg;
     cfg.workers = 4;
     cfg.coldStartMode = core::ColdStartMode::TieredReap;
     cfg.sharedSnapshots = true;
@@ -196,7 +158,6 @@ runShardOutageCell(cluster::ControlPolicyKind control)
     cfg.controlPolicy = control;
     if (control != cluster::ControlPolicyKind::None)
         cfg.routingPolicy = cluster::RoutingPolicyKind::LocalityHash;
-    cluster::Cluster c(sim, cfg);
 
     cluster::TrafficConfig tcfg;
     tcfg.functions = 16;
@@ -210,35 +171,20 @@ runShardOutageCell(cluster::ControlPolicyKind control)
     crowd.duration = sec(40);
     crowd.multiplier = 10.0;
     tcfg.bursts.push_back(crowd);
+    cfg.traffic = tcfg;
 
-    cluster::TrafficWorkload workload(sim, c, tcfg);
-    sim::FaultPlan plan(0xc4a06);
-    ShardCellResult r;
-    auto host0 = std::chrono::steady_clock::now();
-    bench::runScenario(sim, [&]() -> sim::Task<void> {
-        co_await c.prepareAllSnapshots();
-        // The outage covers exactly the crowd window, on one shard.
-        Time base = sim.now();
-        sim::FaultSpec s;
-        s.kind = sim::FaultKind::StoreOutage;
-        s.target = "store/shared/1";
-        s.windows.push_back(sim::FaultWindow{
-            base + crowd.start, base + crowd.start + crowd.duration,
-            1.0, 1.0});
-        plan.add(s);
-        c.installFaultPlan(&plan);
-        r.workload = co_await workload.run();
-        c.installFaultPlan(nullptr);
-    });
-    auto host1 = std::chrono::steady_clock::now();
-    r.fleet = c.fleetStats();
-    r.faults = plan.stats();
-    r.wall_s = std::chrono::duration<double>(host1 - host0).count();
-    r.events_per_sec =
-        r.wall_s > 0
-            ? static_cast<double>(sim.eventsProcessed()) / r.wall_s
-            : 0;
-    return r;
+    // The outage covers exactly the crowd window, on one shard.
+    Time base = bench::fleetReadyAt(cfg);
+    sim::FaultSpec s;
+    s.kind = sim::FaultKind::StoreOutage;
+    s.target = "store/shared/1";
+    s.windows.push_back(sim::FaultWindow{base + crowd.start,
+                                         base + crowd.start +
+                                             crowd.duration,
+                                         1.0, 1.0});
+    cfg.storeFaults.push_back(s);
+    cfg.faultSeed = 0xc4a06;
+    return bench::timedFleetRun(cfg);
 }
 
 } // namespace
@@ -257,7 +203,7 @@ main()
     double base_cold_p99 = 0;
     for (Intensity lvl :
          {Intensity::None, Intensity::Mild, Intensity::Severe}) {
-        CellResult r = runCell(lvl);
+        bench::FleetRun r = runCell(lvl);
         const auto &fs = r.fleet;
         if (lvl == Intensity::None)
             base_cold_p99 = fs.coldP99();
@@ -265,12 +211,12 @@ main()
             std::string("workers=4/faults=") + intensityName(lvl);
         t.row()
             .cell(intensityName(lvl))
-            .cell(r.workload.invocations)
-            .cell(r.workload.failedInvocations)
-            .cell(100.0 * r.workload.coldFraction(), 1)
+            .cell(fs.invocations)
+            .cell(fs.failedInvocations)
+            .cell(100.0 * fs.coldFraction(), 1)
             .cell(fs.coldP50(), 1)
             .cell(fs.coldP99(), 1)
-            .cell(r.workload.e2eLatencyMs.percentile(99), 1)
+            .cell(fs.e2eLatencyMs.percentile(99), 1)
             .cell(r.faults.stragglers)
             .cell(r.faults.requestErrors)
             .cell(r.faults.workerCrashes)
@@ -280,11 +226,11 @@ main()
         json.row(cell, "cold_p50_ms", fs.coldP50());
         json.row(cell, "cold_p99_ms", fs.coldP99());
         json.row(cell, "e2e_p99_ms",
-                 r.workload.e2eLatencyMs.percentile(99));
+                 fs.e2eLatencyMs.percentile(99));
         json.row(cell, "invocations",
-                 static_cast<double>(r.workload.invocations));
+                 static_cast<double>(fs.invocations));
         json.row(cell, "failed_invocations",
-                 static_cast<double>(r.workload.failedInvocations));
+                 static_cast<double>(fs.failedInvocations));
         json.row(cell, "worker_crashes",
                  static_cast<double>(r.faults.workerCrashes));
         json.row(cell, "wall_s", r.wall_s, r.events_per_sec);
@@ -295,12 +241,12 @@ main()
           cluster::ControlPolicyKind::HybridHistogram}) {
         bool predictive =
             control != cluster::ControlPolicyKind::None;
-        ShardCellResult r = runShardOutageCell(control);
+        bench::FleetRun r = runShardOutageCell(control);
         const auto &fs = r.fleet;
         double cold_pct =
-            r.workload.invocations > 0
-                ? 100.0 * static_cast<double>(r.workload.coldStarts) /
-                      static_cast<double>(r.workload.invocations)
+            fs.invocations > 0
+                ? 100.0 * static_cast<double>(fs.coldStarts) /
+                      static_cast<double>(fs.invocations)
                 : 0;
         std::string cell =
             predictive
@@ -310,12 +256,12 @@ main()
                 : std::string("workers=4/faults=shard-outage-crowd");
         t.row()
             .cell(predictive ? "outage+prewarm" : "shard-outage")
-            .cell(r.workload.invocations)
-            .cell(r.workload.failedInvocations)
+            .cell(fs.invocations)
+            .cell(fs.failedInvocations)
             .cell(cold_pct, 1)
             .cell(fs.coldP50(), 1)
             .cell(fs.coldP99(), 1)
-            .cell(r.workload.e2eLatencyMs.percentile(99), 1)
+            .cell(fs.e2eLatencyMs.percentile(99), 1)
             .cell(r.faults.stragglers)
             .cell(r.faults.requestErrors)
             .cell(r.faults.workerCrashes)
@@ -324,9 +270,9 @@ main()
             .cell(r.events_per_sec / 1e6, 1);
         json.row(cell, "cold_p99_ms", fs.coldP99());
         json.row(cell, "e2e_p99_ms",
-                 r.workload.e2eLatencyMs.percentile(99));
+                 fs.e2eLatencyMs.percentile(99));
         json.row(cell, "invocations",
-                 static_cast<double>(r.workload.invocations));
+                 static_cast<double>(fs.invocations));
         json.row(cell, "outage_stalls",
                  static_cast<double>(r.faults.outageStalls));
         json.row(cell, "store_stream_waits",

@@ -25,13 +25,13 @@
  * hybrid cell's events/sec against ci/perf_floor.json.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench/common.hh"
-#include "cluster/cluster.hh"
+#include "bench/fleet_run.hh"
+#include "cluster/parallel_fleet.hh"
 #include "cluster/control_policy.hh"
 #include "cluster/traffic.hh"
 #include "core/options.hh"
@@ -87,19 +87,10 @@ trafficConfig()
     return tcfg;
 }
 
-struct CellResult
-{
-    cluster::FleetStats workload;
-    cluster::FleetStats fleet;
-    double wall_s = 0;
-    double events_per_sec = 0;
-};
-
-CellResult
+bench::FleetRun
 runCell(cluster::ControlPolicyKind policy)
 {
-    sim::Simulation sim;
-    cluster::ClusterConfig cfg;
+    cluster::ParallelFleetConfig cfg;
     cfg.workers = 4;
     cfg.coldStartMode = core::ColdStartMode::TieredReap;
     cfg.sharedSnapshots = true;
@@ -109,26 +100,24 @@ runCell(cluster::ControlPolicyKind policy)
     cfg.keepAlive = sec(20);
     cfg.routingPolicy = cluster::RoutingPolicyKind::LocalityHash;
     cfg.controlPolicy = policy;
-    cluster::Cluster c(sim, cfg);
+    cfg.traffic = trafficConfig();
+    cluster::ParallelFleet fleet(cfg);
+    if (policy != cluster::ControlPolicyKind::Oracle)
+        return bench::timedFleetRun(fleet);
 
-    cluster::TrafficConfig tcfg = trafficConfig();
-    cluster::TrafficWorkload workload(sim, c, tcfg);
-
-    CellResult r;
-    auto host0 = std::chrono::steady_clock::now();
-    bench::runScenario(sim, [&]() -> sim::Task<void> {
-        co_await c.prepareAllSnapshots();
-        if (policy == cluster::ControlPolicyKind::Oracle) {
+    auto &oracle = static_cast<cluster::OraclePolicy &>(
+        fleet.controlPolicies().policyFor(
+            cluster::ControlPolicyKind::Oracle));
+    return bench::timedFleetRun(
+        fleet, [&oracle, &cfg](cluster::FleetClient &c) {
             // Feed the clairvoyant schedule by replaying the exact
-            // arrival streams TrafficWorkload will draw (same Rng
-            // stream names, same thinning), relative to now: staging
-            // is done, so run()'s own prepareAllSnapshots is a no-op
-            // and the arrival loops start at this simulated instant.
-            auto &oracle = static_cast<cluster::OraclePolicy &>(
-                c.controlPolicies().policyFor(
-                    cluster::ControlPolicyKind::Oracle));
-            oracle.setEpoch(sim.now());
-            const cluster::TrafficEngine &eng = workload.engine();
+            // arrival streams the fleet draws open-loop
+            // (same Rng stream names, same thinning), relative to now:
+            // staging is done and the arrival loops start at this
+            // simulated instant.
+            oracle.setEpoch(c.sim().now());
+            const cluster::TrafficConfig &tcfg = *cfg.traffic;
+            cluster::TrafficEngine eng(tcfg);
             for (int fn = 0; fn < eng.functionCount(); ++fn) {
                 const std::string &name = eng.profile(fn).name;
                 Rng local(tcfg.seed, "traffic-arrivals/" + name);
@@ -142,17 +131,8 @@ runCell(cluster::ControlPolicyKind policy)
                 }
                 oracle.setSchedule(name, std::move(offsets));
             }
-        }
-        r.workload = co_await workload.run();
-    });
-    auto host1 = std::chrono::steady_clock::now();
-    r.fleet = c.fleetStats();
-    r.wall_s = std::chrono::duration<double>(host1 - host0).count();
-    r.events_per_sec =
-        r.wall_s > 0
-            ? static_cast<double>(sim.eventsProcessed()) / r.wall_s
-            : 0;
-    return r;
+            return c.driveWorkload();
+        });
 }
 
 } // namespace
@@ -173,13 +153,13 @@ main()
           cluster::ControlPolicyKind::NaiveKeepAlive,
           cluster::ControlPolicyKind::HybridHistogram,
           cluster::ControlPolicyKind::Oracle}) {
-        CellResult r = runCell(policy);
+        bench::FleetRun r = runCell(policy);
         const auto &fs = r.fleet;
         const char *pname = cluster::controlPolicyName(policy);
         double cold_pct =
-            r.workload.invocations > 0
-                ? 100.0 * static_cast<double>(r.workload.coldStarts) /
-                      static_cast<double>(r.workload.invocations)
+            fs.invocations > 0
+                ? 100.0 * static_cast<double>(fs.coldStarts) /
+                      static_cast<double>(fs.invocations)
                 : 0;
         double accuracy =
             fs.preWarms > 0 ? 100.0 *
@@ -188,11 +168,11 @@ main()
                             : 0;
         double waste_mb_s = fs.wastedResidentByteSec / 1e6;
         std::string cell = std::string("workers=4/policy=") + pname;
-        double e2e_p99 = r.workload.e2eLatencyMs.percentile(99);
+        double e2e_p99 = fs.e2eLatencyMs.percentile(99);
         t.row()
             .cell(pname)
-            .cell(r.workload.invocations)
-            .cell(r.workload.coldStarts)
+            .cell(fs.invocations)
+            .cell(fs.coldStarts)
             .cell(cold_pct, 1)
             .cell(fs.coldP99(), 1)
             .cell(e2e_p99, 1)
@@ -209,7 +189,7 @@ main()
         json.row(cell, "e2e_p99_ms", e2e_p99);
         json.row(cell, "cold_pct", cold_pct);
         json.row(cell, "invocations",
-                 static_cast<double>(r.workload.invocations));
+                 static_cast<double>(fs.invocations));
         json.row(cell, "pre_warms",
                  static_cast<double>(fs.preWarms));
         json.row(cell, "pre_warm_hits",

@@ -19,21 +19,20 @@
  * fleet bytes-moved (shared-store bytesServed + bytesStored) is
  * exactly the artifact movement. Also reported: cold p50/p99, staged
  * bytes, dedup ratio, chunk batches and stream contention — all from
- * Cluster::fleetStats().
+ * the run's FleetStats.
  *
  * `VHIVE_BENCH_JSON=BENCH_dedup.json` exports rows; CI gates the
  * events/sec of a fixed cell against ci/perf_floor.json
  * (dedup_cold_p99) and caps the sweep via VHIVE_DEDUP_MAX_WORKERS.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
 #include "bench/common.hh"
-#include "cluster/azure_workload.hh"
-#include "cluster/cluster.hh"
+#include "bench/fleet_run.hh"
+#include "cluster/parallel_fleet.hh"
 #include "cluster/routing_policy.hh"
 #include "core/options.hh"
 #include "util/table.hh"
@@ -53,24 +52,17 @@ struct Cell {
         cluster::RoutingPolicyKind::WarmFirst;
 };
 
-struct CellResult {
-    cluster::FleetStats workload;
-    cluster::FleetStats fleet;
-    double wall_s = 0;
-    double events_per_sec = 0;
+/** Bytes the fleet moved through the shared store. */
+Bytes
+bytesMoved(const cluster::FleetStats &fs)
+{
+    return fs.store.bytesServed + fs.store.bytesStored;
+}
 
-    Bytes
-    bytesMoved() const
-    {
-        return fleet.store.bytesServed + fleet.store.bytesStored;
-    }
-};
-
-CellResult
+bench::FleetRun
 runCell(int workers, const Cell &cell)
 {
-    sim::Simulation sim;
-    cluster::ClusterConfig cfg;
+    cluster::ParallelFleetConfig cfg;
     cfg.workers = workers;
     cfg.coldStartMode = cell.mode;
     cfg.sharedSnapshots = true;
@@ -79,28 +71,11 @@ runCell(int workers, const Cell &cell)
     cfg.worker.reap.chunkBytes = cell.chunkBytes;
     cfg.worker.reap.chunkDupRatio = cell.dupRatio;
     cfg.worker.reap.chunkCompression = cell.compression;
-    cluster::Cluster c(sim, cfg);
-
-    cluster::AzureWorkloadConfig wcfg;
-    wcfg.functions = 12;
-    wcfg.minInterarrival = sec(5);
-    wcfg.maxInterarrival = sec(240);
-    wcfg.horizon = sec(900);
-
-    cluster::AzureWorkload workload(sim, c, wcfg);
-    CellResult r;
-    auto host0 = std::chrono::steady_clock::now();
-    bench::runScenario(sim, [&]() -> sim::Task<void> {
-        r.workload = co_await workload.run();
-    });
-    auto host1 = std::chrono::steady_clock::now();
-    r.fleet = c.fleetStats();
-    r.wall_s = std::chrono::duration<double>(host1 - host0).count();
-    r.events_per_sec =
-        r.wall_s > 0
-            ? static_cast<double>(sim.eventsProcessed()) / r.wall_s
-            : 0;
-    return r;
+    cfg.workload.functions = 12;
+    cfg.workload.minInterarrival = sec(5);
+    cfg.workload.maxInterarrival = sec(240);
+    cfg.workload.horizon = sec(900);
+    return bench::timedFleetRun(cfg);
 }
 
 std::string
@@ -142,16 +117,16 @@ main()
              "staged_MiB", "dedup%", "batches", "st_waits", "wall_s",
              "Mev/s"});
 
-    auto report = [&](const Cell &cell, const CellResult &r) {
+    auto report = [&](const Cell &cell, const bench::FleetRun &r) {
         const auto &fs = r.fleet;
         std::string name = cellName(workers, cell);
         t.row()
             .cell(name)
-            .cell(r.workload.invocations)
-            .cell(100.0 * r.workload.coldFraction(), 1)
+            .cell(fs.invocations)
+            .cell(100.0 * fs.coldFraction(), 1)
             .cell(fs.coldP50(), 1)
             .cell(fs.coldP99(), 1)
-            .cell(toMiB(r.bytesMoved()), 1)
+            .cell(toMiB(bytesMoved(r.fleet)), 1)
             .cell(toMiB(fs.stagedBytes), 1)
             .cell(100.0 * fs.dedupRatio(), 1)
             .cell(fs.store.chunkBatches)
@@ -160,7 +135,7 @@ main()
             .cell(r.events_per_sec / 1e6, 1);
         json.row(name, "cold_p99_ms", fs.coldP99());
         json.row(name, "cold_p50_ms", fs.coldP50());
-        json.row(name, "bytes_moved_mib", toMiB(r.bytesMoved()));
+        json.row(name, "bytes_moved_mib", toMiB(bytesMoved(r.fleet)));
         json.row(name, "staged_mib", toMiB(fs.stagedBytes));
         json.row(name, "dedup_ratio", fs.dedupRatio());
         json.row(name, "wall_s", r.wall_s, r.events_per_sec);
@@ -169,17 +144,17 @@ main()
     // Blob baseline: TieredReap through the shared registry.
     Cell baseline{"tiered-shared", core::ColdStartMode::TieredReap,
                   64 * kKiB, 0.35, true};
-    CellResult base = runCell(workers, baseline);
+    bench::FleetRun base = runCell(workers, baseline);
     report(baseline, base);
 
-    const CellResult *reference = nullptr; // default dedup cell
-    CellResult ref_result;
+    const bench::FleetRun *reference = nullptr; // default dedup cell
+    bench::FleetRun ref_result;
     for (Bytes chunk : chunks) {
         for (double dup : dups) {
             for (bool comp : comps) {
                 Cell cell{"dedup", core::ColdStartMode::DedupReap,
                           chunk, dup, comp};
-                CellResult r = runCell(workers, cell);
+                bench::FleetRun r = runCell(workers, cell);
                 report(cell, r);
                 if (chunk == 64 * kKiB && dup == 0.35 && comp) {
                     ref_result = r;
@@ -202,19 +177,19 @@ main()
 
     if (reference != nullptr) {
         double moved_reduction =
-            base.bytesMoved() > 0
+            bytesMoved(base.fleet) > 0
                 ? 100.0 *
                       (1.0 - static_cast<double>(
-                                 reference->bytesMoved()) /
+                                 bytesMoved(reference->fleet)) /
                                  static_cast<double>(
-                                     base.bytesMoved()))
+                                     bytesMoved(base.fleet)))
                 : 0.0;
         std::printf(
             "\nchunk=64KiB dup=0.35 comp=on vs blob TieredReap "
             "baseline (%d workers):\n  bytes moved %.1f -> %.1f MiB "
             "(%.1f%% reduction), cold p99 %.1f -> %.1f ms\n",
-            workers, toMiB(base.bytesMoved()),
-            toMiB(reference->bytesMoved()), moved_reduction,
+            workers, toMiB(bytesMoved(base.fleet)),
+            toMiB(bytesMoved(reference->fleet)), moved_reduction,
             base.fleet.coldP99(), reference->fleet.coldP99());
     }
 
@@ -225,6 +200,6 @@ main()
         "minus whatever the worker's chunk cache already holds "
         "(shared\nruntime pages arrive with whichever function came "
         "first). Dedup ratio and\nstream contention come from "
-        "Cluster::fleetStats().\n");
+        "the run's FleetStats.\n");
     return 0;
 }

@@ -41,14 +41,13 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
 #include "bench/common.hh"
+#include "bench/fleet_run.hh"
 #include "cluster/azure_workload.hh"
-#include "cluster/cluster.hh"
 #include "cluster/parallel_fleet.hh"
 #include "cluster/routing_policy.hh"
 #include "core/options.hh"
@@ -65,19 +64,11 @@ struct ModeCell {
     bool shared;
 };
 
-struct CellResult {
-    cluster::FleetStats workload;
-    cluster::FleetStats fleet;
-    double wall_s = 0;
-    double events_per_sec = 0;
-};
-
-CellResult
+bench::FleetRun
 runCell(int workers, cluster::RoutingPolicyKind policy,
         const ModeCell &mode)
 {
-    sim::Simulation sim;
-    cluster::ClusterConfig cfg;
+    cluster::ParallelFleetConfig cfg;
     cfg.workers = workers;
     cfg.coldStartMode = mode.mode;
     cfg.sharedSnapshots = mode.shared;
@@ -85,37 +76,14 @@ runCell(int workers, cluster::RoutingPolicyKind policy,
     // A short keep-alive keeps cold starts frequent enough that the
     // p99 is a cold-start number, not a warm-path one.
     cfg.keepAlive = sec(60);
-    cluster::Cluster c(sim, cfg);
-
-    cluster::AzureWorkloadConfig wcfg;
-    wcfg.functions = 12;
-    wcfg.minInterarrival = sec(5);
-    wcfg.maxInterarrival = sec(240);
-    wcfg.horizon = sec(900);
-
-    cluster::AzureWorkload workload(sim, c, wcfg);
-    CellResult r;
-    auto host0 = std::chrono::steady_clock::now();
-    bench::runScenario(sim, [&]() -> sim::Task<void> {
-        r.workload = co_await workload.run();
-    });
-    auto host1 = std::chrono::steady_clock::now();
-    r.fleet = c.fleetStats();
-    r.wall_s = std::chrono::duration<double>(host1 - host0).count();
-    r.events_per_sec =
-        r.wall_s > 0
-            ? static_cast<double>(sim.eventsProcessed()) / r.wall_s
-            : 0;
-    return r;
+    cfg.workload.functions = 12;
+    cfg.workload.minInterarrival = sec(5);
+    cfg.workload.maxInterarrival = sec(240);
+    cfg.workload.horizon = sec(900);
+    return bench::timedFleetRun(cfg);
 }
 
-struct ParallelCell {
-    cluster::ParallelFleetResult fleet;
-    double wall_s = 0;
-    double events_per_sec = 0;
-};
-
-ParallelCell
+bench::FleetRun
 runParallelCell(int workers, int threads)
 {
     cluster::ParallelFleetConfig cfg;
@@ -129,20 +97,10 @@ runParallelCell(int workers, int threads)
     cfg.workload.maxInterarrival = sec(120);
     cfg.workload.horizon = sec(600);
 
-    cluster::ParallelFleet fleet(cfg);
-    ParallelCell c;
-    auto host0 = std::chrono::steady_clock::now();
-    c.fleet = fleet.run();
-    auto host1 = std::chrono::steady_clock::now();
-    c.wall_s = std::chrono::duration<double>(host1 - host0).count();
-    c.events_per_sec =
-        c.wall_s > 0 ? static_cast<double>(c.fleet.eventsProcessed) /
-                           c.wall_s
-                     : 0;
-    return c;
+    return bench::timedFleetRun(cfg);
 }
 
-ParallelCell
+bench::FleetRun
 runShardCell(int workers, int threads, int shards, bool bursty)
 {
     cluster::ParallelFleetConfig cfg;
@@ -182,17 +140,7 @@ runShardCell(int workers, int threads, int shards, bool bursty)
     }
     cfg.traffic = tc;
 
-    cluster::ParallelFleet fleet(cfg);
-    ParallelCell c;
-    auto host0 = std::chrono::steady_clock::now();
-    c.fleet = fleet.run();
-    auto host1 = std::chrono::steady_clock::now();
-    c.wall_s = std::chrono::duration<double>(host1 - host0).count();
-    c.events_per_sec =
-        c.wall_s > 0 ? static_cast<double>(c.fleet.eventsProcessed) /
-                           c.wall_s
-                     : 0;
-    return c;
+    return bench::timedFleetRun(cfg);
 }
 
 } // namespace
@@ -228,7 +176,7 @@ main()
             continue;
         for (auto policy : policies) {
             for (const ModeCell &mode : modes) {
-                CellResult r = runCell(workers, policy, mode);
+                bench::FleetRun r = runCell(workers, policy, mode);
                 const auto &fs = r.fleet;
                 std::string cell =
                     "workers=" + std::to_string(workers) +
@@ -239,8 +187,8 @@ main()
                     .cell(static_cast<std::int64_t>(workers))
                     .cell(cluster::routingPolicyName(policy))
                     .cell(mode.label)
-                    .cell(r.workload.invocations)
-                    .cell(100.0 * r.workload.coldFraction(), 1)
+                    .cell(fs.invocations)
+                    .cell(100.0 * fs.coldFraction(), 1)
                     .cell(fs.coldP50(), 1)
                     .cell(fs.coldP99(), 1)
                     .cell(fs.snapshotBuilds)
@@ -279,7 +227,7 @@ main()
         for (int threads : {1, 2, 4, 8}) {
             if (threads > max_threads)
                 continue;
-            ParallelCell c = runParallelCell(workers, threads);
+            bench::FleetRun c = runParallelCell(workers, threads);
             std::uint64_t d = c.fleet.digest();
             const char *match = "ref";
             if (threads == 1) {
@@ -327,7 +275,7 @@ main()
             continue;
         for (int shards : {1, 4, 16}) {
             for (bool bursty : {false, true}) {
-                ParallelCell c = runShardCell(workers, shard_threads,
+                bench::FleetRun c = runShardCell(workers, shard_threads,
                                               shards, bursty);
                 const auto &f = c.fleet;
                 const char *shape = bursty ? "bursty" : "smooth";
@@ -395,6 +343,6 @@ main()
         "tiers admission populated stay hot; least-loaded trades "
         "that locality for\nbalance. Fleet percentiles, per-tier "
         "hits and stream contention come from\n"
-        "Cluster::fleetStats().\n");
+        "the run's FleetStats.\n");
     return 0;
 }

@@ -6,14 +6,17 @@
  * within 5% of the idle-host numbers.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench/common.hh"
-#include "cluster/cluster.hh"
-#include "cluster/traffic.hh"
 #include "core/options.hh"
+#include "core/worker.hh"
 #include "func/profile.hh"
+#include "net/rpc.hh"
+#include "sim/sync.hh"
 #include "util/stats.hh"
 #include "util/table.hh"
 #include "util/units.hh"
@@ -22,16 +25,42 @@ using namespace vhive;
 
 namespace {
 
+/** One keep-warm invocation of @p name behind the front-end's fabric
+ * hop each way. */
+sim::Task<void>
+frontEndInvoke(sim::Simulation &sim, core::Orchestrator &orch,
+               const std::string &name)
+{
+    const Duration hop = net::RpcParams{}.clusterHop;
+    core::InvokeOptions keep;
+    keep.keepWarm = true;
+    co_await sim.delay(hop);
+    (void)co_await orch.invoke(name, core::ColdStartMode::Reap, keep);
+    co_await sim.delay(hop);
+}
+
+/** One closed-loop client of @p name: invoke, think 150 ms, until
+ * *@p stop. */
+sim::Task<void>
+backgroundClient(sim::Simulation &sim, core::Orchestrator &orch,
+                 std::string name, const bool *stop, sim::Latch *exited)
+{
+    while (!*stop) {
+        co_await frontEndInvoke(sim, orch, name);
+        co_await sim.delay(msec(150));
+    }
+    exited->arrive();
+}
+
 double
 measureReapCold(bool with_background)
 {
+    // One worker host: the measurement is per-host, so the background
+    // functions are driven directly on its orchestrator.
     sim::Simulation sim;
-    cluster::ClusterConfig cfg;
-    cfg.workers = 1;
-    cluster::Cluster c(sim, cfg);
-
-    const auto &hw = func::profileByName("helloworld");
-    c.deploy(hw);
+    core::Worker worker(sim);
+    auto &orch = worker.orchestrator();
+    orch.registerFunction(func::profileByName("helloworld"));
 
     // 20 background functions (pyaes-class) kept warm by traffic.
     std::vector<std::string> bg_names;
@@ -39,23 +68,26 @@ measureReapCold(bool with_background)
         func::FunctionProfile p = func::profileByName("pyaes");
         p.name = "bg_" + std::to_string(i);
         bg_names.push_back(p.name);
-        c.deploy(p);
+        orch.registerFunction(p);
     }
 
     Samples cold_ms;
     bench::runScenario(sim, [&]() -> sim::Task<void> {
-        co_await c.prepareAllSnapshots();
-        auto &orch = c.worker(0).orchestrator();
+        // Snapshots in name order (bg_* first), as a fleet prepares
+        // its deployments.
+        std::vector<std::string> all = bg_names;
+        all.push_back("helloworld");
+        std::sort(all.begin(), all.end());
+        for (const auto &n : all)
+            co_await orch.prepareSnapshot(n);
 
-        std::vector<std::unique_ptr<cluster::ClosedLoopTraffic>> bg;
+        bool stop = false;
+        sim::Latch exited(sim, with_background ? 20 : 0);
         if (with_background) {
             for (const auto &n : bg_names) {
                 // Warm each background function once, then drive it.
-                (void)co_await c.invoke(n);
-                bg.push_back(
-                    std::make_unique<cluster::ClosedLoopTraffic>(
-                        sim, c, n, 1, msec(150), 99));
-                bg.back()->start();
+                co_await frontEndInvoke(sim, orch, n);
+                sim.spawn(backgroundClient(sim, orch, n, &stop, &exited));
             }
         }
 
@@ -73,8 +105,8 @@ measureReapCold(bool with_background)
             cold_ms.add(toMs(bd.total));
             co_await sim.delay(msec(200));
         }
-        for (auto &b : bg)
-            co_await b->stopAndDrain();
+        stop = true;
+        co_await exited.wait();
     });
     return cold_ms.mean();
 }

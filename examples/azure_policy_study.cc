@@ -14,11 +14,8 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "cluster/azure_workload.hh"
-#include "cluster/cluster.hh"
+#include "cluster/parallel_fleet.hh"
 #include "core/options.hh"
-#include "sim/simulation.hh"
-#include "sim/task.hh"
 #include "util/table.hh"
 #include "util/units.hh"
 
@@ -30,30 +27,13 @@ cluster::FleetStats
 runPolicy(core::ColdStartMode mode, Duration keep_alive,
           Duration horizon)
 {
-    sim::Simulation sim;
-    cluster::ClusterConfig cfg;
+    cluster::ParallelFleetConfig cfg;
     cfg.workers = 2;
     cfg.keepAlive = keep_alive;
     cfg.coldStartMode = mode;
     cfg.scalePeriod = sec(5);
-    cluster::Cluster c(sim, cfg);
-
-    cluster::AzureWorkloadConfig wl;
-    wl.horizon = horizon;
-    cluster::AzureWorkload workload(sim, c, wl);
-
-    cluster::FleetStats result;
-    struct T {
-        static sim::Task<void>
-        run(cluster::AzureWorkload &w,
-            cluster::FleetStats &out)
-        {
-            out = co_await w.run();
-        }
-    };
-    sim.spawn(T::run(workload, result));
-    sim.run();
-    return result;
+    cfg.workload.horizon = horizon;
+    return cluster::ParallelFleet(cfg).run();
 }
 
 } // namespace

@@ -1,6 +1,6 @@
 /**
  * @file
- * Cluster scenario: a small vHive cluster serving sporadic Poisson
+ * Fleet scenario: a small vHive cluster serving sporadic Poisson
  * traffic to several functions with Knative-style keep-alive and
  * scale-to-zero — the production situation that makes cold starts
  * matter (Sec. 2.1). Runs the same workload twice, with vanilla
@@ -12,16 +12,16 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
+#include <iterator>
+#include <string>
 #include <vector>
 
-#include "cluster/cluster.hh"
-#include "cluster/traffic.hh"
+#include "cluster/parallel_fleet.hh"
 #include "core/options.hh"
 #include "func/profile.hh"
-#include "sim/simulation.hh"
 #include "sim/sync.hh"
 #include "sim/task.hh"
+#include "util/rng.hh"
 #include "util/table.hh"
 #include "util/units.hh"
 
@@ -47,64 +47,64 @@ struct RunStats {
     std::int64_t cold = 0, warm = 0, scale_downs = 0;
 };
 
+/** One invocation of @p name, then arrive at @p done. */
 sim::Task<void>
-driveLoad(sim::Simulation &sim, cluster::Cluster &c, Duration horizon,
-          std::uint64_t seed)
+invokeOne(cluster::FleetClient &c, std::string name, sim::Latch *done)
 {
-    co_await c.prepareAllSnapshots();
-    c.startAutoscaler();
+    (void)co_await c.invoke(name);
+    done->arrive();
+}
 
-    std::vector<std::unique_ptr<cluster::PoissonTraffic>> gens;
-    std::int64_t total = 0;
-    sim::Latch done(sim, static_cast<std::int64_t>(std::size(kMix)));
-    struct Gen {
-        static sim::Task<void>
-        run(cluster::PoissonTraffic *g, sim::Latch *done)
-        {
-            co_await g->run();
-            done->arrive();
-        }
-    };
-    for (const auto &f : kMix) {
-        auto count = static_cast<std::int64_t>(
-            toMs(horizon) / 1000.0 / f.mean_interarrival_s);
-        total += count;
-        gens.push_back(std::make_unique<cluster::PoissonTraffic>(
-            sim, c, f.name, sec(f.mean_interarrival_s), count, seed));
-        sim.spawn(Gen::run(gens.back().get(), &done));
+/** Open-loop Poisson arrivals of one function over @p horizon. */
+sim::Task<void>
+poissonLoad(cluster::FleetClient &c, const FnLoad &f, Duration horizon,
+            std::uint64_t seed, sim::Latch *done)
+{
+    auto count = static_cast<std::int64_t>(
+        toMs(horizon) / 1000.0 / f.mean_interarrival_s);
+    Rng rng(seed, std::string("poisson/") + f.name);
+    sim::Latch fired(c.sim(), count);
+    for (std::int64_t i = 0; i < count; ++i) {
+        co_await c.sim().delay(static_cast<Duration>(rng.exponential(
+            static_cast<double>(sec(f.mean_interarrival_s)))));
+        c.sim().spawn(invokeOne(c, f.name, &fired));
     }
+    co_await fired.wait();
+    done->arrive();
+}
+
+sim::Task<void>
+driveLoad(cluster::FleetClient &c, Duration horizon, std::uint64_t seed)
+{
+    sim::Latch done(c.sim(), static_cast<std::int64_t>(std::size(kMix)));
+    for (const auto &f : kMix)
+        c.sim().spawn(poissonLoad(c, f, horizon, seed, &done));
     co_await done.wait();
-    c.stopAutoscaler();
-    (void)total;
 }
 
 RunStats
 runOnce(core::ColdStartMode mode, Duration horizon)
 {
-    sim::Simulation sim;
-    cluster::ClusterConfig cfg;
+    cluster::ParallelFleetConfig cfg;
     cfg.workers = 2;
     cfg.keepAlive = sec(60); // aggressive deallocation
     cfg.coldStartMode = mode;
-    cluster::Cluster c(sim, cfg);
+    cluster::ParallelFleet fleet(cfg);
+    std::vector<func::FunctionProfile> profiles;
     for (const auto &f : kMix)
-        c.deploy(func::profileByName(f.name));
+        profiles.push_back(func::profileByName(f.name));
 
-    sim.spawn(driveLoad(sim, c, horizon, 1234));
-    sim.run();
+    cluster::FleetStats r =
+        fleet.run(std::move(profiles), [horizon](cluster::FleetClient &c) {
+            return driveLoad(c, horizon, 1234);
+        });
 
     RunStats out;
-    Samples all;
-    for (const auto &f : kMix) {
-        const auto &st = c.stats(f.name);
-        for (double v : st.e2eLatencyMs.values())
-            all.add(v);
-        out.cold += st.coldStarts;
-        out.warm += st.warmHits;
-        out.scale_downs += st.scaleDowns;
-    }
-    out.p50 = all.percentile(50);
-    out.p99 = all.percentile(99);
+    out.p50 = r.e2eLatencyMs.percentile(50);
+    out.p99 = r.e2eLatencyMs.percentile(99);
+    out.cold = r.coldStarts;
+    out.warm = r.warmHits;
+    out.scale_downs = r.scaleDowns;
     return out;
 }
 

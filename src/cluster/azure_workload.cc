@@ -52,48 +52,4 @@ synthesizeAzureMix(const AzureWorkloadConfig &cfg)
     return mix;
 }
 
-AzureWorkload::AzureWorkload(sim::Simulation &sim, Cluster &cluster,
-                             AzureWorkloadConfig config)
-    : sim(sim), cluster(cluster), cfg(std::move(config))
-{
-    for (auto &entry : synthesizeAzureMix(cfg)) {
-        names.push_back(entry.profile.name);
-        cluster.deploy(entry.profile);
-        interarrival.push_back(entry.meanInterarrival);
-    }
-}
-
-sim::Task<void>
-AzureWorkload::arrivalLoop(int idx, sim::Latch *done)
-{
-    Rng local(cfg.seed,
-              "azure-arrivals/" + names[static_cast<size_t>(idx)]);
-    Duration mean = interarrival[static_cast<size_t>(idx)];
-    Time deadline = sim.now() + cfg.horizon;
-    while (true) {
-        Duration gap = static_cast<Duration>(
-            local.exponential(static_cast<double>(mean)));
-        if (sim.now() + gap >= deadline)
-            break;
-        co_await sim.delay(gap);
-        (void)co_await cluster.invoke(names[static_cast<size_t>(idx)]);
-    }
-    done->arrive();
-}
-
-sim::Task<FleetStats>
-AzureWorkload::run()
-{
-    co_await cluster.prepareFleet();
-    cluster.startAutoscaler();
-
-    sim::Latch done(sim, cfg.functions);
-    for (int i = 0; i < cfg.functions; ++i)
-        sim.spawn(arrivalLoop(i, &done));
-    co_await done.wait();
-
-    cluster.stopAutoscaler();
-    co_return cluster.fleetStats();
-}
-
 } // namespace vhive::cluster

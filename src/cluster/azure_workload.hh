@@ -6,21 +6,18 @@
  * less than once per minute), run shortly, and arrive unpredictably.
  * The generator deploys N functions whose mean inter-arrival times
  * are log-uniform over a configurable range and drives independent
- * Poisson arrivals for a simulated horizon; the cluster's keep-alive
- * janitor integrates the fleet's resident memory meanwhile
- * (FleetStats::residentByteSec).
+ * Poisson arrivals for a simulated horizon (ParallelFleet's
+ * closed-loop arrival loops, one Rng stream per function).
  */
 
 #ifndef VHIVE_CLUSTER_AZURE_WORKLOAD_HH
 #define VHIVE_CLUSTER_AZURE_WORKLOAD_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "cluster/cluster.hh"
 #include "func/profile.hh"
-#include "sim/simulation.hh"
-#include "sim/task.hh"
 #include "util/rng.hh"
 #include "util/units.hh"
 
@@ -86,43 +83,10 @@ func::FunctionProfile mixProfile(
  * Synthesize the deterministic function mix @p cfg describes: profile
  * picks cycle through cfg.profilePool and mean inter-arrivals are
  * log-uniform over [minInterarrival, maxInterarrival], all driven by
- * Rng(cfg.seed, "azure-workload") in deployment order. Shared by
- * AzureWorkload (sequential cluster) and cluster::ParallelFleet so the
- * two drive bit-identical mixes.
+ * Rng(cfg.seed, "azure-workload") in deployment order.
  */
 std::vector<AzureMixEntry> synthesizeAzureMix(
     const AzureWorkloadConfig &cfg);
-
-/**
- * Deploys the mix onto @p cluster and drives it. The cluster must be
- * freshly constructed (no prior deployments); the run starts the
- * autoscaler and stops it before returning.
- */
-class AzureWorkload
-{
-  public:
-    AzureWorkload(sim::Simulation &sim, Cluster &cluster,
-                  AzureWorkloadConfig config = AzureWorkloadConfig{});
-
-    /** Names of the synthesized functions (after construction). */
-    const std::vector<std::string> &functionNames() const
-    {
-        return names;
-    }
-
-    /** Run the workload to completion; returns the cluster's
-     * fleetStats() over the measured window. */
-    sim::Task<FleetStats> run();
-
-  private:
-    sim::Task<void> arrivalLoop(int idx, sim::Latch *done);
-
-    sim::Simulation &sim;
-    Cluster &cluster;
-    AzureWorkloadConfig cfg;
-    std::vector<std::string> names;
-    std::vector<Duration> interarrival;
-};
 
 } // namespace vhive::cluster
 

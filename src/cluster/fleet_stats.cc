@@ -258,6 +258,13 @@ validateFleetConfig(const FleetConfig &cfg, const char *engine)
 {
     if (cfg.workers < 1)
         fatal("%s: workers must be >= 1 (got %d)", engine, cfg.workers);
+    for (auto [field, n] :
+         {std::pair{"maxConcurrencyPerFunction",
+                    cfg.maxConcurrencyPerFunction},
+          std::pair{"maxColdStartRetries", cfg.maxColdStartRetries}}) {
+        if (n < 0)
+            fatal("%s: %s must be >= 0 (got %d)", engine, field, n);
+    }
     if (cfg.sharedStoreShards < 1)
         fatal("%s: sharedStoreShards must be >= 1 (got %d)", engine,
               cfg.sharedStoreShards);
@@ -345,30 +352,22 @@ controlTickContext(Time now, int workers, const FleetStats &live)
     ctx.workers = workers;
     ctx.coldStarts = live.coldStarts;
     if (live.coldE2eMs.count() > 0)
-        ctx.coldP99Ms = Samples(live.coldE2eMs).percentile(99);
+        ctx.coldP99Ms = live.coldE2eMs.percentile(99);
     return ctx;
 }
 
-sim::Task<bool>
-preRecordWorkingSets(const FleetConfig &cfg,
-                     std::vector<core::Orchestrator *> orchs,
-                     std::vector<std::string> functions)
+sim::Task<void>
+preRecordWorkingSets(const FleetConfig &cfg, core::Orchestrator &orch,
+                     const std::vector<std::string> &functions)
 {
-    if (cfg.sharedSnapshots || orchs.empty() ||
-        !orchs.front()
-             ->loaders()
-             .loaderFor(cfg.coldStartMode)
-             .needsRecord())
-        co_return false;
+    if (!orch.loaders().loaderFor(cfg.coldStartMode).needsRecord())
+        co_return;
     for (const std::string &name : functions) {
-        for (core::Orchestrator *orch : orchs) {
-            orch->flushHostCaches();
-            core::InvokeOptions opts;
-            opts.forceCold = true;
-            (void)co_await orch->invoke(name, cfg.coldStartMode, opts);
-        }
+        orch.flushHostCaches();
+        core::InvokeOptions opts;
+        opts.forceCold = true;
+        (void)co_await orch.invoke(name, cfg.coldStartMode, opts);
     }
-    co_return true;
 }
 
 } // namespace vhive::cluster

@@ -1,26 +1,21 @@
 /**
  * @file
- * The one fleet schema of cluster::Cluster (sequential) and
- * cluster::ParallelFleet (parallel kernel): the configuration fields
- * both engines declare (FleetConfig), the one fleet-level result both
- * report (FleetStats — from Cluster::fleetStats(),
- * AzureWorkload/TrafficWorkload::run() and ParallelFleet::run()), and
- * every engine step both run, written once.
+ * The fleet schema of cluster::ParallelFleet: the configuration fields
+ * of a fleet (FleetConfig), the one fleet-level result a run reports
+ * (FleetStats), and the engine steps written once beside them
+ * (validation, worker and shared-store construction, the pre-warm
+ * mode, the off-window record pass, remote-fetch classification, the
+ * control-tick context, and the folds of each worker and of the
+ * shared staging registry).
  *
  * FleetStats aggregates what the SeBS methodology (arXiv:2012.14132)
  * says a serverless benchmark must report at fleet level — cold-start
  * latency percentiles (p50/p99/p999) rather than single-host means,
  * per-worker and fleet-summed tier-hit accounting, object-store stream
  * contention, resident memory, and the snapshot-registry staging
- * counters. Each name means one thing on both engines; what an engine
- * does not model stays zero:
- *
- *  - Cluster: the kernel counters (eventsProcessed, windows, messages).
- *  - ParallelFleet: failedInvocations (no crash retries), fetchFanIn,
- *    the restage/delta counters (restages, deltaChunksUploaded,
- *    deltaBytesUploaded) and the retire/GC counters (retires,
- *    gcReleasedBytes); it reports store/storeShards for the shared
- *    store only, so both stay zero without sharedSnapshots.
+ * counters. Without sharedSnapshots there is no shared store and no
+ * registry: store, storeShards and the registry-side staging fields
+ * (fetch, chunk-index, dedup and GC counters) stay zero.
  */
 
 #ifndef VHIVE_CLUSTER_FLEET_STATS_HH
@@ -48,9 +43,8 @@ namespace vhive::cluster {
 class SnapshotRegistry;
 
 /**
- * Configuration fields of a fleet, whichever engine runs it.
- * ClusterConfig and ParallelFleetConfig derive from it and add only
- * their engine's own fields.
+ * Configuration fields of a fleet. ParallelFleetConfig derives from it
+ * and adds the runtime's own fields.
  */
 struct FleetConfig
 {
@@ -123,6 +117,22 @@ struct FleetConfig
     /** Victim selection for the budgeted fleet chunk index. */
     storage::EvictionPolicyKind registryEvictionPolicy =
         storage::EvictionPolicyKind::Lru;
+
+    /**
+     * Knative queue-proxy behaviour: at most this many in-flight
+     * invocations per function fleet-wide; excess requests queue FIFO
+     * in the control plane instead of scaling out. 0 = unlimited (AWS
+     * MicroManager style eager scale-out).
+     */
+    int maxConcurrencyPerFunction = 0;
+
+    /**
+     * Cold starts torn down by an injected WorkerCrash fault are
+     * re-routed and retried up to this many times before the
+     * invocation is reported failed. Only reachable with a crash
+     * fault installed; fault-free runs never retry.
+     */
+    int maxColdStartRetries = 2;
 };
 
 /** One worker's slice of the fleet telemetry. */
@@ -204,10 +214,10 @@ struct FleetStats
     std::vector<core::TierBreakdown> tierHits;
 
     /**
-     * Object-store traffic: the shared store when snapshot sharing is
-     * on, otherwise (Cluster only) the per-worker stores summed.
-     * streamWaits / streamWaitTime / peakStreamQueue expose data-plane
-     * contention.
+     * Traffic of the fleet-shared store (zero without snapshot
+     * sharing; each worker's own store is worker-local and not
+     * counted). streamWaits / streamWaitTime / peakStreamQueue expose
+     * data-plane contention.
      */
     net::ObjectStoreStats store{};
 
@@ -333,7 +343,7 @@ struct FleetStats
     /** Peak local artifact bytes, summed across workers. */
     Bytes peakSsdBytes = 0;
 
-    /** Delta re-stagings completed (restageFunction). */
+    /** Delta re-stagings completed (FleetClient::restage). */
     std::int64_t restages = 0;
 
     /** Chunks delta re-staging uploaded — the churn that moved. */
@@ -342,7 +352,7 @@ struct FleetStats
     /** Compressed bytes those delta uploads moved. */
     Bytes deltaBytesUploaded = 0;
 
-    /** Functions retired fleet-wide (retireFunction). */
+    /** Functions retired fleet-wide (FleetClient::retire). */
     std::int64_t retires = 0;
 
     /** Stored bytes GC reclaimed from the staged index. */
@@ -378,7 +388,7 @@ struct FleetStats
      * Fold the fleet-shared store's traffic and @p registry's staging
      * counters (sharedSnapshots): its staged-chunk index, and every
      * staging record's builds, bytes, dedup, fetch and delta counters
-     * summed into the totals. The one staging fold of both engines.
+     * summed into the totals.
      */
     void addSharedStaging(const net::ShardedObjectStore &shared,
                           const SnapshotRegistry &registry);
@@ -475,26 +485,21 @@ bool fetchedRemotely(const FleetConfig &cfg,
 /**
  * The fleet-wide part of a ControlPolicy tick's input: @p now, the
  * worker count, and the cold starts and cold p99 in @p live so far.
- * The p99 is taken on a copy: Samples::percentile() sorts in place,
- * and the reported samples keep their arrival order whether or not a
- * policy ticks.
  */
 ControlTickContext controlTickContext(Time now, int workers,
                                       const FleetStats &live);
 
 /**
- * The off-window record pass: one forced record-phase cold start of
- * every function on every orchestrator (function-major order, host
- * caches flushed before each), so the measured window starts with
- * every working set recorded — deployed production functions recorded
- * long ago. Skipped when the configured mode records nothing, and
- * under shared staging (each home worker already recorded once; the
- * others are meant to pull the staged artifacts in-window).
- * @return whether the pass ran.
+ * The off-window record pass of one worker without shared staging:
+ * one forced record-phase cold start of every function in
+ * @p functions (host caches flushed before each), so the measured
+ * window starts with every working set recorded — deployed
+ * production functions recorded long ago. Skipped when the configured
+ * mode records nothing.
  */
-sim::Task<bool> preRecordWorkingSets(
-    const FleetConfig &cfg, std::vector<core::Orchestrator *> orchs,
-    std::vector<std::string> functions);
+sim::Task<void> preRecordWorkingSets(
+    const FleetConfig &cfg, core::Orchestrator &orch,
+    const std::vector<std::string> &functions);
 
 } // namespace vhive::cluster
 

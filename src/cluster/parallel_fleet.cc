@@ -26,43 +26,11 @@ ParallelFleet::ParallelFleet(ParallelFleetConfig config)
       kernel(cfg.workers + 1 + (cfg.sharedSnapshots ? 1 : 0),
              cfg.simThreads)
 {
-    if (cfg.traffic) {
-        // Traffic-driven mix: the engine's Zipf population, driven
-        // open-loop (meanInterarrival unused on this path).
+    // Traffic-driven runs deploy the engine's Zipf population, driven
+    // open-loop (meanInterarrival unused on this path).
+    if (cfg.traffic)
         trafficEng = std::make_unique<TrafficEngine>(*cfg.traffic);
-        mix.reserve(
-            static_cast<std::size_t>(trafficEng->functionCount()));
-        for (int i = 0; i < trafficEng->functionCount(); ++i)
-            mix.push_back(AzureMixEntry{trafficEng->profile(i), 0});
-    } else {
-        mix = synthesizeAzureMix(cfg.workload);
-    }
-    for (std::size_t i = 0; i < mix.size(); ++i) {
-        fnIndex[mix[i].profile.name] = static_cast<int>(i);
-        fnNames.push_back(mix[i].profile.name);
-    }
-
-    mirrorIdle.assign(static_cast<std::size_t>(cfg.workers),
-                      std::vector<std::int64_t>(mix.size(), 0));
-    mirrorInFlight.assign(static_cast<std::size_t>(cfg.workers), 0);
     activePolicy = &policies.policyFor(cfg.routingPolicy);
-    preWarmInFlight.assign(mix.size(), 0);
-    prefetchInFlight.assign(mix.size(), 0);
-    // Mirrored chunk residency, one hop stale (refreshed by Done
-    // replies). Non-shared fleets keep every artifact local, so full
-    // residency everywhere; shared fleets start with residency only
-    // on each function's home worker (where it records) and learn the
-    // rest from replies.
-    mirrorResidency.assign(
-        static_cast<std::size_t>(cfg.workers),
-        std::vector<double>(mix.size(), cfg.sharedSnapshots ? 0.0
-                                                            : 1.0));
-    if (cfg.sharedSnapshots)
-        for (std::size_t i = 0; i < mix.size(); ++i)
-            mirrorResidency[static_cast<std::size_t>(
-                homeWorkerOf(mix[i].profile.name))][i] = 1.0;
-    if (cfg.controlPolicy != ControlPolicyKind::None)
-        activeControl = &controlPolicies.policyFor(cfg.controlPolicy);
 
     if (cfg.sharedSnapshots) {
         sharedStore = makeSharedStore(kernel.sim(storeDomain()), cfg);
@@ -71,8 +39,7 @@ ParallelFleet::ParallelFleet(ParallelFleetConfig config)
         if (!cfg.storeFaults.empty()) {
             // The store domain draws its own deterministic fault
             // stream (FaultPlan is not thread-safe across domains),
-            // under the same "store/shared[/<s>]" tags the sequential
-            // Cluster uses.
+            // for the shared store and the registry's staging passes.
             sharedFaults = std::make_unique<sim::FaultPlan>(
                 cfg.faultSeed +
                 static_cast<std::uint64_t>(cfg.workers));
@@ -80,6 +47,7 @@ ParallelFleet::ParallelFleet(ParallelFleetConfig config)
                 sharedFaults->add(spec);
             sharedStore->setFaultPlan(sharedFaults.get(),
                                       "store/shared");
+            registry->setFaultPlan(sharedFaults.get());
         }
     }
 
@@ -113,7 +81,6 @@ ParallelFleet::ParallelFleet(ParallelFleetConfig config)
         }
         node->worker = makeWorker(kernel.sim(1 + w), cfg, w,
                                   node->storeClient.get());
-        node->lastUsed.assign(mix.size(), 0);
         if (!cfg.storeFaults.empty()) {
             // One plan per domain (FaultPlan is not thread-safe),
             // seeded per worker so domains draw independent but
@@ -122,12 +89,159 @@ ParallelFleet::ParallelFleet(ParallelFleetConfig config)
                 cfg.faultSeed + static_cast<std::uint64_t>(w));
             for (const sim::FaultSpec &spec : cfg.storeFaults)
                 node->faults->add(spec);
+            std::string idx = std::to_string(w);
             node->worker->objectStore().setFaultPlan(
-                node->faults.get(),
-                "store/worker/" + std::to_string(w));
+                node->faults.get(), "store/worker/" + idx);
+            node->worker->orchestrator().setFaultPlan(node->faults.get(),
+                                                      "worker/" + idx);
         }
         nodes.push_back(std::move(node));
     }
+}
+
+void
+ParallelFleet::deploy(std::vector<func::FunctionProfile> population)
+{
+    profiles = std::move(population);
+    const std::size_t n = profiles.size();
+    for (std::size_t i = 0; i < n; ++i) {
+        if (!fnIndex.emplace(profiles[i].name, static_cast<int>(i))
+                 .second)
+            fatal("function %s deployed twice", profiles[i].name.c_str());
+        fnNames.push_back(profiles[i].name);
+    }
+
+    mirrorIdle.assign(static_cast<std::size_t>(cfg.workers),
+                      std::vector<std::int64_t>(n, 0));
+    mirrorInFlight.assign(static_cast<std::size_t>(cfg.workers), 0);
+    preWarmInFlight.assign(n, 0);
+    prefetchInFlight.assign(n, 0);
+    fnStats.assign(n, FunctionFleetStats{});
+    // Mirrored chunk residency, one hop stale (refreshed by Done
+    // replies). Non-shared fleets keep every artifact local, so full
+    // residency everywhere; shared fleets start with residency only
+    // on each function's home worker (where it records) and learn the
+    // rest from replies.
+    mirrorResidency.assign(
+        static_cast<std::size_t>(cfg.workers),
+        std::vector<double>(n, cfg.sharedSnapshots ? 0.0 : 1.0));
+    if (cfg.sharedSnapshots)
+        for (std::size_t i = 0; i < n; ++i)
+            mirrorResidency[static_cast<std::size_t>(
+                homeWorkerOf(fnNames[i]))][i] = 1.0;
+    if (cfg.maxConcurrencyPerFunction > 0)
+        for (std::size_t i = 0; i < n; ++i)
+            admission.push_back(std::make_unique<sim::Semaphore>(
+                kernel.sim(0), cfg.maxConcurrencyPerFunction));
+    // Resolved here, not at construction: controlPolicies() may have
+    // swapped the registered policy in between.
+    if (cfg.controlPolicy != ControlPolicyKind::None)
+        activeControl = &_controlPolicies.policyFor(cfg.controlPolicy);
+    for (auto &node : nodes) {
+        node->lastUsed.assign(n, 0);
+        node->remoteFetches.assign(n, 0);
+    }
+}
+
+int
+ParallelFleet::fnOf(const std::string &name) const
+{
+    auto it = fnIndex.find(name);
+    if (it == fnIndex.end())
+        fatal("function %s is not deployed", name.c_str());
+    return it->second;
+}
+
+std::vector<func::FunctionProfile>
+ParallelFleet::workloadProfiles() const
+{
+    std::vector<func::FunctionProfile> out;
+    if (trafficEng) {
+        for (int i = 0; i < trafficEng->functionCount(); ++i)
+            out.push_back(trafficEng->profile(i));
+        return out;
+    }
+    for (AzureMixEntry &entry : synthesizeAzureMix(cfg.workload))
+        out.push_back(std::move(entry.profile));
+    return out;
+}
+
+const FunctionFleetStats &
+ParallelFleet::stats(const std::string &name) const
+{
+    return fnStats[static_cast<std::size_t>(fnOf(name))];
+}
+
+sim::FaultStats
+ParallelFleet::faultStats() const
+{
+    sim::FaultStats sum;
+    auto add = [&sum](const sim::FaultPlan *plan) {
+        if (plan == nullptr)
+            return;
+        const sim::FaultStats &s = plan->stats();
+        sum.outageStalls += s.outageStalls;
+        sum.outageStallTime += s.outageStallTime;
+        sum.stormHits += s.stormHits;
+        sum.stragglers += s.stragglers;
+        sum.requestErrors += s.requestErrors;
+        sum.stagingStalls += s.stagingStalls;
+        sum.workerCrashes += s.workerCrashes;
+    };
+    for (const auto &node : nodes)
+        add(node->faults.get());
+    add(sharedFaults.get());
+    return sum;
+}
+
+// ------------------------------------------------------ fleet client
+
+sim::Simulation &
+FleetClient::sim()
+{
+    return fleet.kernel.sim(0);
+}
+
+sim::Task<Duration>
+FleetClient::invoke(const std::string &name)
+{
+    return fleet.invokeFn(fleet.fnOf(name));
+}
+
+sim::Task<void>
+FleetClient::restage(const std::string &name)
+{
+    return fleet.broadcastRequest(ParallelFleet::Request::Restage,
+                                  fleet.fnOf(name));
+}
+
+sim::Task<void>
+FleetClient::retire(const std::string &name)
+{
+    return fleet.broadcastRequest(ParallelFleet::Request::Retire,
+                                  fleet.fnOf(name));
+}
+
+sim::Task<void>
+FleetClient::driveWorkload()
+{
+    return fleet.driveWorkload();
+}
+
+std::int64_t
+FleetClient::idleInstances(const std::string &name) const
+{
+    auto fn = static_cast<std::size_t>(fleet.fnOf(name));
+    std::int64_t idle = 0;
+    for (const auto &row : fleet.mirrorIdle)
+        idle += row[fn];
+    return idle;
+}
+
+const FunctionFleetStats &
+FleetClient::stats(const std::string &name) const
+{
+    return fleet.stats(name);
 }
 
 ParallelFleet::~ParallelFleet() = default;
@@ -233,22 +347,28 @@ ParallelFleet::StorePortClient::shardCount() const
 }
 
 sim::Task<void>
-ParallelFleet::storeOp(int w, StoreMsg::OpKind op, Bytes a, Bytes b,
-                       std::int64_t chunks, net::PlacementKey key)
+ParallelFleet::storeCall(int w, StoreMsg msg)
 {
     WorkerNode &node = *nodes[static_cast<std::size_t>(w)];
-    StoreMsg msg;
-    msg.op = op;
     msg.reqId = node.nextStoreReq++;
-    msg.a = a;
-    msg.b = b;
-    msg.chunks = chunks;
-    msg.key = key;
     sim::Gate gate(kernel.sim(1 + w));
     node.storePending.emplace(msg.reqId, &gate);
     node.toStore->send(msg);
     co_await gate.wait();
     node.storePending.erase(msg.reqId);
+}
+
+sim::Task<void>
+ParallelFleet::storeOp(int w, StoreMsg::OpKind op, Bytes a, Bytes b,
+                       std::int64_t chunks, net::PlacementKey key)
+{
+    StoreMsg msg;
+    msg.op = op;
+    msg.a = a;
+    msg.b = b;
+    msg.chunks = chunks;
+    msg.key = key;
+    co_await storeCall(w, std::move(msg));
 }
 
 // ---------------------------------------------------- store domain
@@ -268,9 +388,24 @@ ParallelFleet::storePump(int w)
             ssim.spawn(storeServe(w, msg));
             break;
           case StoreMsg::Stage:
-            ssim.spawn(storeStage(msg));
+          case StoreMsg::Restage:
+            ssim.spawn(storeStage(w, msg));
             break;
+          case StoreMsg::Retire: {
+            registry->retire(fnNames[static_cast<std::size_t>(msg.fnIdx)]);
+            StoreReply r;
+            r.reqId = msg.reqId;
+            node.fromStore->send(r);
+            break;
+          }
           case StoreMsg::Bye: {
+            // The worker's remote-artifact cold starts, folded into
+            // the registry's per-artifact fetch accounting.
+            const std::vector<std::int64_t> &fetches = *msg.fetches;
+            for (std::size_t fn = 0; fn < fetches.size(); ++fn)
+                if (fetches[fn] > 0)
+                    registry->noteRemoteFetches(fnNames[fn], w,
+                                                fetches[fn]);
             StoreReply r;
             r.kind = StoreReply::Bye;
             node.fromStore->send(r);
@@ -307,22 +442,31 @@ ParallelFleet::storeServe(int w, StoreMsg msg)
 }
 
 sim::Task<void>
-ParallelFleet::storeStage(StoreMsg msg)
+ParallelFleet::storeStage(int w, StoreMsg msg)
 {
     // Every chunk's placement rides the Adopt broadcast so workers
     // group future batches by the true owning shard.
     auto adopt = std::make_shared<AdoptPayload>();
     adopt->fnIdx = msg.fnIdx;
     adopt->staged = msg.stage;
-    co_await registry->stage(
-        mix[static_cast<std::size_t>(msg.fnIdx)].profile.name,
-        *msg.stage, &adopt->placements);
+    const std::string &name = fnNames[static_cast<std::size_t>(msg.fnIdx)];
+    if (msg.kind == StoreMsg::Restage)
+        co_await registry->restage(name, *msg.stage, &adopt->placements);
+    else
+        co_await registry->stage(name, *msg.stage, &adopt->placements);
 
     StoreReply r;
     r.kind = StoreReply::Adopt;
     r.adopt = adopt;
     for (auto &node : nodes)
         node->fromStore->send(r);
+    if (msg.kind == StoreMsg::Restage) {
+        // After the Adopt on the same port: the home worker resumes
+        // with the new version adopted.
+        StoreReply done;
+        done.reqId = msg.reqId;
+        nodes[static_cast<std::size_t>(w)]->fromStore->send(done);
+    }
 }
 
 // --------------------------------------------------- worker domain
@@ -335,8 +479,8 @@ ParallelFleet::stageHomeFunctions(int w)
     // other function arrives as Adopt metadata from the store domain.
     WorkerNode &node = *nodes[static_cast<std::size_t>(w)];
 
-    for (std::size_t i = 0; i < mix.size(); ++i) {
-        const std::string &name = mix[i].profile.name;
+    for (std::size_t i = 0; i < fnNames.size(); ++i) {
+        const std::string &name = fnNames[i];
         if (homeWorkerOf(name) != w)
             continue;
         StagePayload p = co_await homeStagePayload(*node.worker, name,
@@ -370,11 +514,11 @@ ParallelFleet::workerStorePump(int w)
             for (const auto &[hash, shard] : r.adopt->placements)
                 node.chunkHomes.emplace(hash, shard);
             orch.adoptStagedArtifacts(
-                mix[static_cast<std::size_t>(r.adopt->fnIdx)]
-                    .profile.name,
+                fnNames[static_cast<std::size_t>(r.adopt->fnIdx)],
                 r.adopt->staged->record, r.adopt->staged->manifests);
+            // Restaged versions arrive after the population did.
             if (++node.adopted ==
-                static_cast<std::int64_t>(mix.size()))
+                static_cast<std::int64_t>(fnNames.size()))
                 node.allAdopted->openGate();
             break;
           }
@@ -391,8 +535,8 @@ ParallelFleet::workerMain(int w)
     auto &orch = node.worker->orchestrator();
     sim::Simulation &wsim = kernel.sim(1 + w);
 
-    for (const auto &entry : mix)
-        orch.registerFunction(entry.profile);
+    for (const auto &profile : profiles)
+        orch.registerFunction(profile);
 
     if (cfg.sharedSnapshots) {
         wsim.spawn(workerStorePump(w));
@@ -404,8 +548,7 @@ ParallelFleet::workerMain(int w)
     } else {
         for (const std::string &name : fnNames)
             co_await orch.prepareSnapshot(name);
-        (void)co_await preRecordWorkingSets(
-            cfg, std::vector<core::Orchestrator *>(1, &orch), fnNames);
+        co_await preRecordWorkingSets(cfg, orch, fnNames);
     }
 
     node.toControl->send(ControlMsg{ControlMsg::Ready});
@@ -415,6 +558,10 @@ ParallelFleet::workerMain(int w)
         WorkerMsg msg = co_await node.fromControl->recv();
         if (msg.kind == WorkerMsg::Shutdown)
             break;
+        if (msg.kind == WorkerMsg::ScaleHint) {
+            node.scaleHold = std::max(node.scaleHold, msg.hold);
+            continue;
+        }
         ++node.liveInvokes;
         wsim.spawn(workerInvoke(w, msg));
     }
@@ -426,6 +573,8 @@ ParallelFleet::workerMain(int w)
     if (cfg.sharedSnapshots) {
         StoreMsg bye;
         bye.kind = StoreMsg::Bye;
+        bye.fetches = std::make_shared<const std::vector<std::int64_t>>(
+            std::move(node.remoteFetches));
         node.toStore->send(bye);
     }
     node.toControl->send(ControlMsg{ControlMsg::Bye});
@@ -436,24 +585,25 @@ ParallelFleet::workerInvoke(int w, WorkerMsg msg)
 {
     WorkerNode &node = *nodes[static_cast<std::size_t>(w)];
     auto &orch = node.worker->orchestrator();
-    const std::string &name =
-        mix[static_cast<std::size_t>(msg.fnIdx)].profile.name;
-
     auto fn = static_cast<std::size_t>(msg.fnIdx);
+    const std::string &name = fnNames[fn];
+
     ControlMsg reply;
     reply.kind = ControlMsg::Done;
     reply.reqId = msg.reqId;
     reply.fnIdx = msg.fnIdx;
     reply.request = msg.request;
 
-    if (msg.request == Request::Prefetch) {
+    switch (msg.request) {
+      case Request::Prefetch:
         // Control-plane chunk prefetch: warm this worker's tier
         // caches ahead of the predicted window, shielding the bytes
         // from budget eviction until msg.pinUntil (the prefetch-
         // pinned policy's contract). No instance comes up and
         // keep-alive is untouched — only cache state moves.
         co_await orch.backgroundPrefetch(name, msg.pinUntil);
-    } else if (msg.request == Request::PreWarm) {
+        break;
+      case Request::PreWarm: {
         // Control-plane pre-warm: load an instance ahead of the
         // predicted arrival, don't serve anything. Refresh keep-alive
         // only when an instance actually came up — a no-op or crashed
@@ -462,7 +612,15 @@ ParallelFleet::workerInvoke(int w, WorkerMsg msg)
             co_await orch.preWarm(name, preWarmMode(cfg.coldStartMode));
         if (pbd.total > 0 && !pbd.crashed)
             node.lastUsed[fn] = kernel.sim(1 + w).now();
-    } else {
+        break;
+      }
+      case Request::Restage:
+        co_await workerRestage(w, msg.fnIdx);
+        break;
+      case Request::Retire:
+        co_await workerRetire(w, msg.fnIdx);
+        break;
+      case Request::Invoke: {
         core::InvokeOptions opts;
         opts.keepWarm = true;
         bool was_local = orch.artifactsLocal(name);
@@ -470,16 +628,68 @@ ParallelFleet::workerInvoke(int w, WorkerMsg msg)
             std::max(node.row.inFlightPeak, ++node.row.inFlight);
         auto bd = co_await orch.invoke(name, cfg.coldStartMode, opts);
         --node.row.inFlight;
-        node.row.noteServed(bd);
-        if (fetchedRemotely(cfg, bd, was_local))
-            ++node.remoteFetches;
+        // A crashed attempt served nothing: the control plane retries
+        // or fails it.
+        if (!bd.crashed) {
+            node.row.noteServed(bd);
+            if (fetchedRemotely(cfg, bd, was_local))
+                ++node.remoteFetches[fn];
+        }
         node.lastUsed[fn] = kernel.sim(1 + w).now();
         reply.cold = bd.cold;
+        reply.crashed = bd.crashed;
+        break;
+      }
     }
     --node.liveInvokes;
     reply.idleNow = orch.idleInstanceCount(name);
     reply.chunkResidency = orch.chunkResidency(name);
     node.toControl->send(reply);
+}
+
+sim::Task<void>
+ParallelFleet::workerRestage(int w, int fn)
+{
+    // No worker may keep serving the stale version: each invalidates,
+    // so its next invocation of the function re-records unless the
+    // restaged version is adopted first.
+    WorkerNode &node = *nodes[static_cast<std::size_t>(w)];
+    const std::string &name = fnNames[static_cast<std::size_t>(fn)];
+    node.worker->orchestrator().invalidateRecord(name);
+    if (!cfg.sharedSnapshots || homeWorkerOf(name) != w)
+        co_return;
+    // The home worker re-records (same path as the first staging) and
+    // ships the new version; the registry uploads only the churned
+    // chunks and every worker adopts the result.
+    StoreMsg m;
+    m.kind = StoreMsg::Restage;
+    m.fnIdx = fn;
+    m.stage = std::make_shared<const StagePayload>(co_await homeStagePayload(
+        *node.worker, name, cfg.coldStartMode));
+    co_await storeCall(w, std::move(m));
+}
+
+sim::Task<void>
+ParallelFleet::workerRetire(int w, int fn)
+{
+    WorkerNode &node = *nodes[static_cast<std::size_t>(w)];
+    auto &orch = node.worker->orchestrator();
+    auto idx = static_cast<std::size_t>(fn);
+    const std::string &name = fnNames[idx];
+    co_await orch.stopAllInstances(name);
+    orch.retireRecord(name);
+    // Keep-alive freshness resets: a later revival starts cold.
+    node.lastUsed[idx] = 0;
+    if (!cfg.sharedSnapshots)
+        co_return;
+    // The retired version's fetches go with its registry entry.
+    node.remoteFetches[idx] = 0;
+    if (homeWorkerOf(name) != w)
+        co_return;
+    StoreMsg m;
+    m.kind = StoreMsg::Retire;
+    m.fnIdx = fn;
+    co_await storeCall(w, std::move(m));
 }
 
 sim::Task<void>
@@ -494,8 +704,14 @@ ParallelFleet::workerJanitor(int w)
         if (node.stopping)
             break;
         node.row.noteJanitorTick(orch, cfg.scalePeriod);
-        for (std::size_t fn = 0; fn < mix.size(); ++fn) {
-            const std::string &name = mix[fn].profile.name;
+        if (node.scaleHold > 0) {
+            // A positive ScaleHint parks the sweep: cold p99 is over
+            // target, shrinking the warm pool now would make it worse.
+            --node.scaleHold;
+            continue;
+        }
+        for (std::size_t fn = 0; fn < fnNames.size(); ++fn) {
+            const std::string &name = fnNames[fn];
             if (orch.idleInstanceCount(name) == 0)
                 continue;
             if (wsim.now() - node.lastUsed[fn] < cfg.keepAlive)
@@ -520,10 +736,11 @@ sim::Task<void>
 ParallelFleet::replyPump(int w, sim::Latch *ready, sim::Latch *byes)
 {
     WorkerNode &node = *nodes[static_cast<std::size_t>(w)];
-    sim::Simulation &csim = kernel.sim(0);
+    auto widx = static_cast<std::size_t>(w);
 
     while (true) {
         ControlMsg msg = co_await node.toControl->recv();
+        auto fn = static_cast<std::size_t>(msg.fnIdx);
         switch (msg.kind) {
           case ControlMsg::Ready:
             ready->arrive();
@@ -532,30 +749,38 @@ ParallelFleet::replyPump(int w, sim::Latch *ready, sim::Latch *byes)
             auto it = pending.find(msg.reqId);
             VHIVE_ASSERT(it != pending.end());
             PendingReq &pr = it->second;
-            Duration e2e = csim.now() - pr.t0;
-            mirrorIdle[static_cast<std::size_t>(w)]
-                      [static_cast<std::size_t>(msg.fnIdx)] =
-                msg.idleNow;
+            mirrorIdle[widx][fn] = msg.idleNow;
             if (msg.chunkResidency >= 0)
-                mirrorResidency[static_cast<std::size_t>(w)]
-                               [static_cast<std::size_t>(msg.fnIdx)] =
-                    msg.chunkResidency;
+                mirrorResidency[widx][fn] = msg.chunkResidency;
             if (msg.request == Request::Prefetch) {
                 // A prefetch only moved cache bytes: free the
                 // in-flight guard and count it; no invocation, no
                 // instance accounting.
-                prefetchInFlight[static_cast<std::size_t>(
-                    msg.fnIdx)] = 0;
+                prefetchInFlight[fn] = 0;
                 ++result.bgPrefetches;
             } else if (msg.request == Request::PreWarm) {
                 // A pre-warm is not an invocation: it refreshes the
                 // mirror and frees the in-flight guard, nothing else.
-                preWarmInFlight[static_cast<std::size_t>(msg.fnIdx)] =
-                    0;
+                preWarmInFlight[fn] = 0;
                 ++result.preWarms;
-            } else {
-                --mirrorInFlight[static_cast<std::size_t>(w)];
-                result.noteInvocation(toMs(e2e), msg.cold);
+            } else if (msg.request == Request::Invoke) {
+                --mirrorInFlight[widx];
+                if (msg.crashed &&
+                    pr.retries < cfg.maxColdStartRetries) {
+                    // The crashed worker's instance is gone: re-route
+                    // (load-aware policies see the failure) under the
+                    // same request, which stays pending.
+                    ++pr.retries;
+                    ++fnStats[fn].crashRetries;
+                    WorkerMsg retry;
+                    retry.reqId = msg.reqId;
+                    retry.fnIdx = msg.fnIdx;
+                    nodes[static_cast<std::size_t>(routeAndClaim(
+                              msg.fnIdx))]
+                        ->fromControl->send(retry);
+                    break;
+                }
+                completeInvocation(msg.fnIdx, msg, pr);
             }
             if (pr.done != nullptr)
                 pr.done->openGate();
@@ -565,9 +790,8 @@ ParallelFleet::replyPump(int w, sim::Latch *ready, sim::Latch *byes)
             break;
           }
           case ControlMsg::ScaledDown:
-            mirrorIdle[static_cast<std::size_t>(w)]
-                      [static_cast<std::size_t>(msg.fnIdx)] =
-                msg.idleNow;
+            mirrorIdle[widx][fn] = msg.idleNow;
+            ++fnStats[fn].scaleDowns;
             break;
           case ControlMsg::Bye:
             byes->arrive();
@@ -577,19 +801,30 @@ ParallelFleet::replyPump(int w, sim::Latch *ready, sim::Latch *byes)
 }
 
 void
-ParallelFleet::dispatch(int fn_idx, sim::Gate *done)
+ParallelFleet::completeInvocation(int fn_idx, const ControlMsg &msg,
+                                  const PendingReq &pr)
 {
-    sim::Simulation &csim = kernel.sim(0);
-    const std::string &name =
-        mix[static_cast<std::size_t>(fn_idx)].profile.name;
+    Duration e2e = kernel.sim(0).now() - pr.t0;
+    result.noteInvocation(toMs(e2e), msg.cold, msg.crashed);
+    FunctionFleetStats &st = fnStats[static_cast<std::size_t>(fn_idx)];
+    if (msg.crashed)
+        ++st.failedInvocations; // retries exhausted: failed once
+    else if (msg.cold)
+        ++st.coldStarts;
+    else
+        ++st.warmHits;
+    if (pr.e2e != nullptr)
+        *pr.e2e = e2e;
+    if (!admission.empty())
+        admission[static_cast<std::size_t>(fn_idx)]->release();
+}
 
-    int widx = activePolicy->route(RouteContext{name, view});
+int
+ParallelFleet::routeAndClaim(int fn_idx)
+{
+    int widx = activePolicy->route(
+        RouteContext{fnNames[static_cast<std::size_t>(fn_idx)], view});
     VHIVE_ASSERT(widx >= 0 && widx < cfg.workers);
-
-    // Arrival history feeds prediction; pre-warms never land here,
-    // so the policy only ever learns from real invocations.
-    if (activeControl)
-        activeControl->noteArrival(name, csim.now());
 
     // Optimistically claim the warm instance the route expects to
     // hit; the worker's Done reply re-syncs the true count.
@@ -598,41 +833,94 @@ ParallelFleet::dispatch(int fn_idx, sim::Gate *done)
     if (idle > 0)
         --idle;
     ++mirrorInFlight[static_cast<std::size_t>(widx)];
-
-    WorkerMsg msg;
-    msg.fnIdx = fn_idx;
-    sendRequest(widx, msg, done);
+    return widx;
 }
 
 void
-ParallelFleet::sendRequest(int widx, WorkerMsg msg, sim::Gate *done)
+ParallelFleet::dispatch(int fn_idx, Time t0, sim::Gate *done,
+                        Duration *e2e)
+{
+    int widx = routeAndClaim(fn_idx);
+
+    // Arrival history feeds prediction; pre-warms and retries never
+    // land here, so the policy only ever learns from real arrivals.
+    if (activeControl)
+        activeControl->noteArrival(
+            fnNames[static_cast<std::size_t>(fn_idx)],
+            kernel.sim(0).now());
+
+    WorkerMsg msg;
+    msg.fnIdx = fn_idx;
+    sendRequest(widx, msg, PendingReq{t0, done, e2e});
+}
+
+void
+ParallelFleet::sendRequest(int widx, WorkerMsg msg, PendingReq pr)
 {
     msg.reqId = nextReqId++;
-    pending.emplace(msg.reqId, PendingReq{kernel.sim(0).now(), done});
+    pending.emplace(msg.reqId, pr);
     nodes[static_cast<std::size_t>(widx)]->fromControl->send(msg);
+}
+
+sim::Task<Duration>
+ParallelFleet::invokeFn(int fn_idx)
+{
+    sim::Simulation &csim = kernel.sim(0);
+    Time t0 = csim.now();
+    if (!admission.empty()) {
+        // Knative queue-proxy: at most maxConcurrencyPerFunction
+        // in flight per function, excess arrivals queue FIFO; the
+        // slot returns with the invocation's final Done.
+        co_await admission[static_cast<std::size_t>(fn_idx)]->acquire();
+        fnStats[static_cast<std::size_t>(fn_idx)].queueDelayMs.add(
+            toMs(csim.now() - t0));
+    }
+    sim::Gate gate(csim);
+    Duration e2e = 0;
+    dispatch(fn_idx, t0, &gate, &e2e);
+    co_await gate.wait();
+    co_return e2e;
+}
+
+sim::Task<void>
+ParallelFleet::admitAndDispatch(int fn_idx)
+{
+    (void)co_await invokeFn(fn_idx);
+}
+
+sim::Task<void>
+ParallelFleet::broadcastRequest(Request req, int fn_idx)
+{
+    sim::Simulation &csim = kernel.sim(0);
+    std::vector<std::unique_ptr<sim::Gate>> replies;
+    for (int w = 0; w < cfg.workers; ++w) {
+        replies.push_back(std::make_unique<sim::Gate>(csim));
+        WorkerMsg msg;
+        msg.fnIdx = fn_idx;
+        msg.request = req;
+        sendRequest(w, msg,
+                    PendingReq{csim.now(), replies.back().get(), nullptr});
+    }
+    for (auto &gate : replies)
+        co_await gate->wait();
 }
 
 sim::Task<void>
 ParallelFleet::arrivalLoop(int fn_idx, sim::Latch *done)
 {
     sim::Simulation &csim = kernel.sim(0);
-    const AzureMixEntry &entry =
-        mix[static_cast<std::size_t>(fn_idx)];
-    // Same arrival stream construction as AzureWorkload::arrivalLoop.
-    Rng local(cfg.workload.seed,
-              "azure-arrivals/" + entry.profile.name);
+    const std::string &name = fnNames[static_cast<std::size_t>(fn_idx)];
+    Rng local(cfg.workload.seed, "azure-arrivals/" + name);
+    Duration mean = interarrival[static_cast<std::size_t>(fn_idx)];
     Time deadline = csim.now() + cfg.workload.horizon;
 
     while (true) {
-        Duration gap = static_cast<Duration>(local.exponential(
-            static_cast<double>(entry.meanInterarrival)));
+        Duration gap = static_cast<Duration>(
+            local.exponential(static_cast<double>(mean)));
         if (csim.now() + gap >= deadline)
             break;
         co_await csim.delay(gap);
-
-        sim::Gate gate(csim);
-        dispatch(fn_idx, &gate);
-        co_await gate.wait(); // closed loop: next draw after reply
+        (void)co_await invokeFn(fn_idx); // closed loop: draw after reply
     }
     done->arrive();
 }
@@ -643,10 +931,9 @@ ParallelFleet::trafficArrivalLoop(int fn_idx, sim::Latch *done)
     // Open loop: arrivals fire on the engine's schedule whether or
     // not earlier invocations completed, so burst events genuinely
     // pile onto the fleet (a closed loop would self-throttle exactly
-    // when contention matters). Same stream names as TrafficWorkload.
+    // when contention matters).
     sim::Simulation &csim = kernel.sim(0);
-    const std::string &name =
-        mix[static_cast<std::size_t>(fn_idx)].profile.name;
+    const std::string &name = fnNames[static_cast<std::size_t>(fn_idx)];
     Rng local(trafficEng->config().seed, "traffic-arrivals/" + name);
     Time start = csim.now();
     Duration t = 0;
@@ -656,9 +943,32 @@ ParallelFleet::trafficArrivalLoop(int fn_idx, sim::Latch *done)
         if (t >= trafficEng->config().horizon)
             break;
         co_await csim.delay(start + t - csim.now());
-        dispatch(fn_idx, nullptr);
+        if (admission.empty())
+            dispatch(fn_idx, csim.now(), nullptr, nullptr);
+        else
+            csim.spawn(admitAndDispatch(fn_idx));
     }
     done->arrive();
+}
+
+sim::Task<void>
+ParallelFleet::driveWorkload()
+{
+    sim::Simulation &csim = kernel.sim(0);
+    if (!trafficEng) {
+        std::vector<AzureMixEntry> mix = synthesizeAzureMix(cfg.workload);
+        VHIVE_ASSERT(mix.size() == fnNames.size());
+        for (std::size_t i = 0; i < mix.size(); ++i) {
+            VHIVE_ASSERT(mix[i].profile.name == fnNames[i]);
+            interarrival.push_back(mix[i].meanInterarrival);
+        }
+    }
+    sim::Latch done(csim, static_cast<std::int64_t>(fnNames.size()));
+    for (std::size_t fn = 0; fn < fnNames.size(); ++fn)
+        csim.spawn(trafficEng
+                       ? trafficArrivalLoop(static_cast<int>(fn), &done)
+                       : arrivalLoop(static_cast<int>(fn), &done));
+    co_await done.wait();
 }
 
 sim::Task<void>
@@ -673,9 +983,9 @@ ParallelFleet::controlTickLoop()
 
         ControlTickContext ctx =
             controlTickContext(csim.now(), cfg.workers, result);
-        ctx.functions.reserve(mix.size());
-        for (std::size_t fn = 0; fn < mix.size(); ++fn) {
-            const std::string &name = mix[fn].profile.name;
+        ctx.functions.reserve(fnNames.size());
+        for (std::size_t fn = 0; fn < fnNames.size(); ++fn) {
+            const std::string &name = fnNames[fn];
             ControlFunctionView v;
             v.name = name;
             v.homeWorker = homeWorkerOf(name);
@@ -686,9 +996,7 @@ ParallelFleet::controlTickLoop()
                 preWarmInFlight[fn] != 0 || prefetchInFlight[fn] != 0;
             // One-hop-stale residency mirror, refreshed by every Done
             // reply: low residency on the home worker lets the policy
-            // emit Prefetch actions, which (unlike ScaleHint, still a
-            // sequential-Cluster verb) now travel to workers as
-            // first-class tracked requests.
+            // emit Prefetch actions.
             v.homeChunkResidency =
                 mirrorResidency[static_cast<std::size_t>(
                     v.homeWorker)][fn];
@@ -698,9 +1006,18 @@ ParallelFleet::controlTickLoop()
         std::vector<ControlAction> actions;
         activeControl->tick(ctx, actions);
         for (const ControlAction &a : actions) {
-            bool prefetch = a.kind == ControlAction::Kind::Prefetch;
-            if (a.kind != ControlAction::Kind::PreWarm && !prefetch)
+            if (a.kind == ControlAction::Kind::ScaleHint) {
+                // Fleet-wide: every janitor holds its next sweeps.
+                if (a.hint <= 0)
+                    continue;
+                WorkerMsg hint;
+                hint.kind = WorkerMsg::ScaleHint;
+                hint.hold = a.hint;
+                for (auto &node : nodes)
+                    node->fromControl->send(hint);
                 continue;
+            }
+            bool prefetch = a.kind == ControlAction::Kind::Prefetch;
             auto it = fnIndex.find(a.function);
             if (it == fnIndex.end())
                 continue;
@@ -722,7 +1039,7 @@ ParallelFleet::controlTickLoop()
             msg.fnIdx = static_cast<int>(fn);
             msg.request = prefetch ? Request::Prefetch : Request::PreWarm;
             msg.pinUntil = a.until;
-            sendRequest(widx, msg, nullptr);
+            sendRequest(widx, msg, PendingReq{csim.now(), nullptr, nullptr});
         }
     }
 }
@@ -741,13 +1058,8 @@ ParallelFleet::controlMain()
     if (activeControl)
         csim.spawn(controlTickLoop());
 
-    sim::Latch done(csim, static_cast<std::int64_t>(mix.size()));
-    for (std::size_t fn = 0; fn < mix.size(); ++fn)
-        csim.spawn(trafficEng
-                       ? trafficArrivalLoop(static_cast<int>(fn),
-                                            &done)
-                       : arrivalLoop(static_cast<int>(fn), &done));
-    co_await done.wait();
+    FleetClient client(*this);
+    co_await script(client);
 
     // Stop issuing control actions before draining: a tick runs
     // synchronously within one resumption, so after this flag no
@@ -771,6 +1083,18 @@ ParallelFleet::controlMain()
 FleetStats
 ParallelFleet::run()
 {
+    return run(workloadProfiles(),
+               [](FleetClient &client) { return client.driveWorkload(); });
+}
+
+FleetStats
+ParallelFleet::run(std::vector<func::FunctionProfile> population,
+                   FleetScript body)
+{
+    VHIVE_ASSERT(!script); // one-shot
+    VHIVE_ASSERT(body);
+    deploy(std::move(population));
+    script = std::move(body);
     for (int w = 0; w < cfg.workers; ++w)
         kernel.sim(1 + w).spawn(workerMain(w));
     if (cfg.sharedSnapshots)
@@ -789,7 +1113,6 @@ ParallelFleet::run()
         // thus the digest), so the thread-count identity covers
         // eviction, pinning and SSD GC decisions.
         result.scaleDowns += node->scaleDowns;
-        result.remoteArtifactFetches += node->remoteFetches;
         result.addWorker(std::move(node->row), node->worker->orchestrator(),
                          fnNames, cfg.sharedSnapshots);
     }

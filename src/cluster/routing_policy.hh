@@ -1,9 +1,8 @@
 /**
  * @file
  * Pluggable invocation routing for the fleet control plane. The
- * front-end's worker pick used to be a hard-coded warm-first /
- * round-robin scan inside Cluster; it is now a RoutingPolicy strategy
- * dispatched through a small registry, keyed the same way the
+ * front-end's worker pick is a RoutingPolicy strategy dispatched
+ * through a small registry, keyed the same way the
  * SnapshotLoader layer keys cold-start strategies. Placement matters
  * because snapshot locality does ("How Low Can You Go?",
  * arXiv:2109.13319): a policy that concentrates a function's cold
@@ -52,7 +51,8 @@ const char *routingPolicyName(RoutingPolicyKind kind);
 
 /**
  * Read-only view of the fleet a policy may consult. Implemented by
- * Cluster; kept abstract so policies are testable without a cluster.
+ * ParallelFleet's mirror; kept abstract so policies are testable
+ * without a fleet.
  */
 class FleetView
 {

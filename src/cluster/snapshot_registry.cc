@@ -20,8 +20,10 @@ homeStagePayload(core::Worker &home, const std::string &name,
     p.builds = orch.snapshotBuilds() - builds0;
 
     // Record once: the REAP-family record phase produces the WS and
-    // trace files the fleet will prefetch from.
-    if (!orch.hasRecord(name)) {
+    // trace files the fleet will prefetch from. A record phase torn
+    // down by an injected WorkerCrash recorded nothing and runs again
+    // (crash windows are finite and each crash advances time).
+    while (!orch.hasRecord(name)) {
         core::InvokeOptions opts;
         opts.forceCold = true;
         (void)co_await orch.invoke(name, mode, opts);
@@ -38,16 +40,12 @@ homeStagePayload(core::Worker &home, const std::string &name,
     co_return p;
 }
 
-SnapshotRegistry::SnapshotRegistry(
-    sim::Simulation &sim, net::ArtifactStore &store,
-    const FleetConfig &cfg,
-    const std::vector<std::unique_ptr<core::Worker>> *fleet)
-    : sim(sim), store(store), fleet(fleet), workerCount(cfg.workers),
-      mode(cfg.coldStartMode)
+SnapshotRegistry::SnapshotRegistry(sim::Simulation &sim,
+                                   net::ArtifactStore &store,
+                                   const FleetConfig &cfg)
+    : sim(sim), store(store), workerCount(cfg.workers)
 {
     VHIVE_ASSERT(workerCount >= 1);
-    VHIVE_ASSERT(fleet == nullptr ||
-                 static_cast<int>(fleet->size()) == workerCount);
     if (cfg.registryChunkBudget > 0)
         sharedChunks.setBudget(cfg.registryChunkBudget,
                                cfg.registryEvictionPolicy,
@@ -96,23 +94,6 @@ SnapshotRegistry::claim(const std::string &name)
     e.art.homeWorker = homeWorkerFor(name);
     e.art.fetchedBy.assign(static_cast<std::size_t>(workerCount), false);
     co_return true;
-}
-
-sim::Task<void>
-SnapshotRegistry::ensureStaged(const std::string &name)
-{
-    VHIVE_ASSERT(fleet != nullptr);
-    if (!co_await claim(name))
-        co_return;
-    Entry &e = entries.at(name);
-    StagePayload p = co_await homeStagePayload(
-        *(*fleet)[static_cast<std::size_t>(e.art.homeWorker)], name,
-        mode);
-    co_await upload(name, e, p, nullptr);
-    // Fan the metadata out; the artifact bytes move lazily, at each
-    // worker's first cold start, through the remote tier.
-    fanOut(name, p);
-    finish(e, p);
 }
 
 sim::Task<void>
@@ -224,14 +205,6 @@ SnapshotRegistry::upload(
 }
 
 void
-SnapshotRegistry::fanOut(const std::string &name, const StagePayload &p)
-{
-    for (auto &w : *fleet)
-        w->orchestrator().adoptStagedArtifacts(name, p.record,
-                                               p.manifests);
-}
-
-void
 SnapshotRegistry::finish(Entry &e, const StagePayload &p)
 {
     e.stagedManifests = p.manifests;
@@ -241,18 +214,24 @@ SnapshotRegistry::finish(Entry &e, const StagePayload &p)
 }
 
 sim::Task<void>
-SnapshotRegistry::restage(const std::string &name)
+SnapshotRegistry::restage(const std::string &name, const StagePayload &p,
+                          std::vector<std::pair<std::uint64_t, int>>
+                              *placements)
 {
-    VHIVE_ASSERT(fleet != nullptr);
     auto it = entries.find(name);
-    VHIVE_ASSERT(it != entries.end());
+    if (it == entries.end() || !(it->second.art.staged ||
+                                 it->second.staging)) {
+        // Nothing staged to delta against (never staged, or retired):
+        // this version is a first staging.
+        co_await stage(name, p, placements);
+        co_return;
+    }
     Entry &e = it->second;
     if (e.staging) {
         // Fold into the in-flight (re)staging pass.
         co_await e.done->wait();
         co_return;
     }
-    VHIVE_ASSERT(e.art.staged);
     e.staging = true;
     e.art.staged = false;
     e.done = std::make_unique<sim::Gate>(sim); // old gate is open
@@ -264,20 +243,9 @@ SnapshotRegistry::restage(const std::string &name)
 
     co_await waitOutOutage(name);
 
-    // Invalidate fleet-wide: no worker may keep serving the stale
-    // version's objects, and the home worker's next invocation becomes
-    // the re-record phase.
-    for (auto &w : *fleet)
-        w->orchestrator().invalidateRecord(name);
-
-    // Re-record on the home worker (same path as the first staging).
-    StagePayload p = co_await homeStagePayload(
-        *(*fleet)[static_cast<std::size_t>(e.art.homeWorker)], name,
-        mode);
-
     const std::int64_t ups0 = e.art.chunksUploaded;
     const std::int64_t tot0 = e.art.chunksTotal;
-    co_await upload(name, e, p, nullptr);
+    co_await upload(name, e, p, placements);
 
     ++e.art.restages;
     const std::int64_t ups = e.art.chunksUploaded - ups0;
@@ -292,8 +260,6 @@ SnapshotRegistry::restage(const std::string &name)
         sharedChunks.releaseManifest(prev->vmmState);
         sharedChunks.releaseManifest(prev->ws);
     }
-
-    fanOut(name, p);
     finish(e, p);
 }
 
@@ -332,13 +298,14 @@ SnapshotRegistry::artifact(const std::string &name) const
 }
 
 void
-SnapshotRegistry::noteRemoteFetch(const std::string &name, int worker)
+SnapshotRegistry::noteRemoteFetches(const std::string &name, int worker,
+                                    std::int64_t count)
 {
     auto it = entries.find(name);
-    if (it == entries.end() || !it->second.art.staged)
+    if (it == entries.end() || !it->second.art.staged || count <= 0)
         return;
     StagedArtifact &art = it->second.art;
-    ++art.remoteFetches;
+    art.remoteFetches += count;
     if (worker >= 0 &&
         worker < static_cast<int>(art.fetchedBy.size()))
         art.fetchedBy[static_cast<size_t>(worker)] = true;

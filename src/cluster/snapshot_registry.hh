@@ -8,17 +8,17 @@
  * object store — and every other worker cold-starts by pulling the
  * staged artifact through its remote tier instead of rebuilding.
  *
- * The staging path is written once, here, for both fleet engines:
+ * The staging path is written once, in two halves:
  * homeStagePayload() is the home worker's half (build, record, price
  * or chunk the artifacts); SnapshotRegistry is the store's half
  * (single-flight, fault rolls, chunk dedup against the fleet index,
- * upload, per-artifact accounting) and FleetStats::addSharedStaging
- * folds its counters. cluster::Cluster owns an in-domain registry that
- * drives both halves itself (ensureStaged, restage, retire) and turns
- * prepareAllSnapshots() from an O(functions x workers) serial build
- * loop into build-once + fan-out metadata adoption. ParallelFleet's
- * store domain owns one too and stage()s the payloads home workers
- * ship it over ports.
+ * upload, per-artifact accounting, delta re-staging, GC) and
+ * FleetStats::addSharedStaging folds its counters. ParallelFleet's
+ * store domain owns the registry: home workers ship payloads to it
+ * over ports (stage, restage), retire GCs an entry, and workers hand
+ * it their remote-fetch counts at shutdown (noteRemoteFetches). The
+ * registry never touches a worker; the caller fans the staged
+ * metadata out.
  */
 
 #ifndef VHIVE_CLUSTER_SNAPSHOT_REGISTRY_HH
@@ -147,48 +147,31 @@ sim::Task<StagePayload> homeStagePayload(core::Worker &home,
  * Stages each deployed function's artifacts into the shared object
  * store exactly once, even under concurrent staging calls (the first
  * caller stages, later callers wait on a per-function gate). Owned by
- * Cluster (in-domain, with the fleet: ensureStaged/restage/retire) and
- * by ParallelFleet's store domain (without it: stage()).
+ * ParallelFleet's store domain, fed payloads its home workers build.
  */
 class SnapshotRegistry
 {
   public:
     /**
      * @param store The fleet-shared store staging uploads into.
-     * @param cfg The fleet: its worker count places home workers, its
-     * cold-start mode is the one the record phase runs (so recorded
-     * artifacts match what the fleet restores with), and its
-     * registryChunkBudget caps the staged-chunk index.
-     * @param fleet The in-domain workers (borrowed; the owning
-     * Cluster outlives the registry), required by ensureStaged() and
-     * restage(). Null when the workers live in other domains and
-     * ship their payloads to stage().
+     * @param cfg The fleet: its worker count places home workers and
+     * sizes the fetch fan-in bitmaps, and its registryChunkBudget caps
+     * the staged-chunk index.
      */
-    SnapshotRegistry(
-        sim::Simulation &sim, net::ArtifactStore &store,
-        const FleetConfig &cfg,
-        const std::vector<std::unique_ptr<core::Worker>> *fleet =
-            nullptr);
+    SnapshotRegistry(sim::Simulation &sim, net::ArtifactStore &store,
+                     const FleetConfig &cfg);
 
     SnapshotRegistry(const SnapshotRegistry &) = delete;
     SnapshotRegistry &operator=(const SnapshotRegistry &) = delete;
 
     /**
-     * Build + stage @p name's artifacts if not already staged: build
-     * and record on the home worker (homeStagePayload), upload, then
-     * fan the metadata out to every worker (adoptStagedArtifacts).
-     * Concurrent callers for the same function wait for the single
-     * in-flight staging instead of duplicating it.
-     */
-    sim::Task<void> ensureStaged(const std::string &name);
-
-    /**
      * Stage @p payload as @p name's artifacts unless already staged:
-     * the path of a registry whose workers live in other domains —
      * the caller ships the home worker's payload in and fans the
-     * metadata out. When @p placements is non-null, each manifest
-     * chunk's (content hash, owning shard) is appended, read right
-     * after that chunk's dedup check and upload.
+     * metadata out. Concurrent callers for the same function wait for
+     * the single in-flight staging instead of duplicating it. When
+     * @p placements is non-null, each manifest chunk's (content hash,
+     * owning shard) is appended, read right after that chunk's dedup
+     * check and upload.
      */
     sim::Task<void>
     stage(const std::string &name, const StagePayload &payload,
@@ -196,16 +179,20 @@ class SnapshotRegistry
               nullptr);
 
     /**
-     * Re-record + delta re-stage @p name (the function's code was
-     * updated): invalidate the record fleet-wide, re-record on the
-     * home worker, then stage the new version against the previous
-     * one's still-referenced chunks — unchanged chunks dedup-hit and
-     * never cross the wire again; only the churned delta uploads. The
-     * previous version's references release once the delta lands, and
-     * the new metadata fans out to every worker. Must already be
-     * staged; a caller racing an in-flight (re)staging waits for it.
+     * Delta re-stage @p name (the function's code was updated) from
+     * @p payload, the home worker's re-recorded version: stage it
+     * against the previous version's still-referenced chunks —
+     * unchanged chunks dedup-hit and never cross the wire again; only
+     * the churned delta uploads. The previous version's references
+     * release once the delta lands; the caller fans the new metadata
+     * out. A caller racing an in-flight (re)staging waits for it; a
+     * function with nothing staged is staged afresh. @p placements as
+     * in stage().
      */
-    sim::Task<void> restage(const std::string &name);
+    sim::Task<void>
+    restage(const std::string &name, const StagePayload &payload,
+            std::vector<std::pair<std::uint64_t, int>> *placements =
+                nullptr);
 
     /**
      * Fleet-wide GC of @p name (the function is being retired):
@@ -214,7 +201,7 @@ class SnapshotRegistry
      * references drop out of the index — their bytes are reclaimed
      * (or, under a refcount-protected budget, retained as evictable
      * pool). Workers' own records are the caller's to retire
-     * (Cluster::retireFunction does both). No-op when never staged.
+     * (ParallelFleet's retire does both). No-op when never staged.
      */
     void retire(const std::string &name);
 
@@ -241,9 +228,10 @@ class SnapshotRegistry
     /** Deterministic home worker for @p name (hash on the ring). */
     int homeWorkerFor(const std::string &name) const;
 
-    /** Called by the front-end when a cold start on @p worker pulled
-     * the artifact through the remote tier. */
-    void noteRemoteFetch(const std::string &name, int worker);
+    /** @p worker's @p count cold starts of @p name pulled the staged
+     * artifact through the remote tier (ignored unless staged). */
+    void noteRemoteFetches(const std::string &name, int worker,
+                           std::int64_t count);
 
     /** Sum of builds across functions (one each when sharing works). */
     std::int64_t totalBuilds() const;
@@ -311,17 +299,12 @@ class SnapshotRegistry
     upload(const std::string &name, Entry &e, const StagePayload &p,
            std::vector<std::pair<std::uint64_t, int>> *placements);
 
-    /** Hand @p p's metadata to every in-domain worker. */
-    void fanOut(const std::string &name, const StagePayload &p);
-
     /** Mark @p e staged as @p p's version and wake its waiters. */
     void finish(Entry &e, const StagePayload &p);
 
     sim::Simulation &sim;
     net::ArtifactStore &store;
-    const std::vector<std::unique_ptr<core::Worker>> *fleet;
     int workerCount;
-    core::ColdStartMode mode;
     std::map<std::string, Entry> entries;
     storage::ChunkStore sharedChunks;
 

@@ -7,81 +7,6 @@
 
 namespace vhive::cluster {
 
-PoissonTraffic::PoissonTraffic(sim::Simulation &sim, Cluster &cluster,
-                               std::string function,
-                               Duration mean_interarrival,
-                               std::int64_t count, std::uint64_t seed)
-    : sim(sim), cluster(cluster), function(std::move(function)),
-      meanInterarrival(mean_interarrival), count(count),
-      rng(seed, "poisson/" + this->function)
-{
-    VHIVE_ASSERT(count >= 0);
-    VHIVE_ASSERT(mean_interarrival > 0);
-}
-
-sim::Task<void>
-PoissonTraffic::fireOne(sim::Latch *done)
-{
-    (void)co_await cluster.invoke(function);
-    done->arrive();
-}
-
-sim::Task<void>
-PoissonTraffic::run()
-{
-    sim::Latch done(sim, count);
-    for (std::int64_t i = 0; i < count; ++i) {
-        co_await sim.delay(static_cast<Duration>(rng.exponential(
-            static_cast<double>(meanInterarrival))));
-        sim.spawn(fireOne(&done));
-    }
-    co_await done.wait();
-}
-
-ClosedLoopTraffic::ClosedLoopTraffic(sim::Simulation &sim,
-                                     Cluster &cluster,
-                                     std::string function, int clients,
-                                     Duration think_time,
-                                     std::uint64_t seed)
-    : sim(sim), cluster(cluster), function(std::move(function)),
-      clients(clients), thinkTime(think_time),
-      rng(seed, "closed/" + this->function)
-{
-    VHIVE_ASSERT(clients >= 1);
-}
-
-sim::Task<void>
-ClosedLoopTraffic::client(int idx)
-{
-    (void)idx;
-    while (!stopping) {
-        (void)co_await cluster.invoke(function);
-        ++_completed;
-        co_await sim.delay(thinkTime);
-    }
-    drain->arrive();
-}
-
-void
-ClosedLoopTraffic::start()
-{
-    VHIVE_ASSERT(!drain); // start() may only be called once
-    drain = std::make_unique<sim::Latch>(
-        sim, static_cast<std::int64_t>(clients));
-    for (int i = 0; i < clients; ++i)
-        sim.spawn(client(i));
-}
-
-sim::Task<void>
-ClosedLoopTraffic::stopAndDrain()
-{
-    VHIVE_ASSERT(drain); // must have been started
-    stopping = true;
-    co_await drain->wait();
-}
-
-// ------------------------------------------------------ TrafficEngine
-
 TrafficEngine::TrafficEngine(TrafficConfig config) : cfg(std::move(config))
 {
     VHIVE_ASSERT(cfg.functions >= 1);
@@ -246,8 +171,8 @@ TrafficEngine::nextArrival(int fn, Duration now, Rng &rng) const
     if (Duration period = periodOf(fn); period > 0) {
         // Timer arrivals: the first grid point strictly after @p now,
         // plus a small uniform jitter. Exactly one draw per arrival,
-        // so the stream stays aligned for every consumer (sequential
-        // driver, parallel fleet, oracle replay).
+        // so the stream stays aligned for every consumer (the fleet's
+        // arrival loops, oracle replay).
         Duration phase = phases[static_cast<size_t>(fn)];
         std::int64_t k =
             now < phase ? 0 : (now - phase) / period + 1;
@@ -274,66 +199,6 @@ TrafficEngine::nextArrival(int fn, Duration now, Rng &rng) const
         if (rng.uniform() < rateAt(fn, t) / peak)
             return t;
     }
-}
-
-// ---------------------------------------------------- TrafficWorkload
-
-TrafficWorkload::TrafficWorkload(sim::Simulation &sim, Cluster &cluster,
-                                 TrafficConfig config)
-    : sim(sim), cluster(cluster), eng(std::move(config))
-{
-    for (int i = 0; i < eng.functionCount(); ++i)
-        cluster.deploy(eng.profile(i));
-}
-
-sim::Task<void>
-TrafficWorkload::fireOne(int fn)
-{
-    (void)co_await cluster.invoke(eng.profile(fn).name);
-    ++completed;
-    if (launchDone && completed == launched && drained)
-        drained->openGate();
-}
-
-sim::Task<void>
-TrafficWorkload::arrivalLoop(int fn, sim::Latch *loops_done)
-{
-    Rng local(eng.config().seed,
-              "traffic-arrivals/" + eng.profile(fn).name);
-    Time start = sim.now();
-    Duration t = 0;
-    while (true) {
-        t = eng.nextArrival(fn, t, local);
-        if (t >= eng.config().horizon)
-            break;
-        co_await sim.delay(start + t - sim.now());
-        // Open loop: fire and move on. The invocation completes (or
-        // fails) on its own task; run() waits for the stragglers.
-        ++launched;
-        sim.spawn(fireOne(fn));
-    }
-    loops_done->arrive();
-}
-
-sim::Task<FleetStats>
-TrafficWorkload::run()
-{
-    co_await cluster.prepareFleet();
-    cluster.startAutoscaler();
-
-    sim::Latch loops_done(sim, eng.functionCount());
-    for (int i = 0; i < eng.functionCount(); ++i)
-        sim.spawn(arrivalLoop(i, &loops_done));
-    co_await loops_done.wait();
-
-    launchDone = true;
-    if (completed < launched) {
-        drained = std::make_unique<sim::Gate>(sim);
-        co_await drained->wait();
-    }
-
-    cluster.stopAutoscaler();
-    co_return cluster.fleetStats();
 }
 
 } // namespace vhive::cluster

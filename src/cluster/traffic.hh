@@ -1,110 +1,27 @@
 /**
  * @file
- * Invocation traffic generators. Production serverless arrivals are
- * sporadic (Sec. 2.1: 90% of functions invoked less than once per
- * minute), which the Poisson generator models; the closed-loop
- * generator drives steady background load (Sec. 6.3's 20 warm
- * functions experiment).
- *
- * TrafficEngine scales this to planet-shaped load (ROADMAP item 1):
- * heavy-tailed function populations with Zipf invocation skew (the
- * "Serverless in the Wild" Azure characterization), diurnal rate
- * modulation, and synchronized burst events — tenant flash crowds and
- * deploy storms — sampled by Lewis-Shedler thinning so arrival streams
- * stay deterministic per seed. TrafficWorkload drives a sequential
- * Cluster open-loop with it; cluster::ParallelFleet consumes the same
- * engine for its per-domain arrival loops.
+ * Planet-shaped invocation traffic. Production serverless arrivals
+ * are sporadic (Sec. 2.1: 90% of functions invoked less than once per
+ * minute); TrafficEngine models heavy-tailed function populations with
+ * Zipf invocation skew (the "Serverless in the Wild" Azure
+ * characterization), diurnal rate modulation, and synchronized burst
+ * events — tenant flash crowds and deploy storms — sampled by
+ * Lewis-Shedler thinning so arrival streams stay deterministic per
+ * seed. cluster::ParallelFleet drives it open-loop from its control
+ * domain.
  */
 
 #ifndef VHIVE_CLUSTER_TRAFFIC_HH
 #define VHIVE_CLUSTER_TRAFFIC_HH
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "cluster/cluster.hh"
 #include "func/profile.hh"
-#include "sim/simulation.hh"
-#include "sim/sync.hh"
-#include "sim/task.hh"
 #include "util/rng.hh"
-#include "util/stats.hh"
 #include "util/units.hh"
 
 namespace vhive::cluster {
-
-/**
- * Open-loop Poisson arrivals: invocations fire at exponential
- * inter-arrival times regardless of completion of earlier ones.
- */
-class PoissonTraffic
-{
-  public:
-    /**
-     * @param mean_interarrival Mean gap between invocation arrivals.
-     * @param count             Total invocations to issue.
-     */
-    PoissonTraffic(sim::Simulation &sim, Cluster &cluster,
-                   std::string function, Duration mean_interarrival,
-                   std::int64_t count, std::uint64_t seed);
-
-    /** Drive the load; returns when all invocations completed. */
-    sim::Task<void> run();
-
-  private:
-    sim::Task<void> fireOne(sim::Latch *done);
-
-    sim::Simulation &sim;
-    Cluster &cluster;
-    std::string function;
-    Duration meanInterarrival;
-    std::int64_t count;
-    Rng rng;
-};
-
-/**
- * Closed-loop steady load: a fixed number of clients, each invoking
- * again after the previous response plus a think time. Keeps the
- * function's instances warm.
- */
-class ClosedLoopTraffic
-{
-  public:
-    ClosedLoopTraffic(sim::Simulation &sim, Cluster &cluster,
-                      std::string function, int clients,
-                      Duration think_time, std::uint64_t seed);
-
-    /** Start the clients as detached tasks; they run until stop(). */
-    void start();
-
-    /**
-     * Ask the clients to finish their current request and exit. The
-     * clients still reference this object until they drain: callers
-     * MUST keep it alive until stopAndDrain() completes (or the
-     * simulation ends).
-     */
-    void stop() { stopping = true; }
-
-    /** Stop and wait until every client has exited. */
-    sim::Task<void> stopAndDrain();
-
-    /** Completed invocations across all clients. */
-    std::int64_t completed() const { return _completed; }
-
-  private:
-    sim::Task<void> client(int idx);
-
-    sim::Simulation &sim;
-    Cluster &cluster;
-    std::string function;
-    int clients;
-    Duration thinkTime;
-    Rng rng;
-    bool stopping = false;
-    std::int64_t _completed = 0;
-    std::unique_ptr<sim::Latch> drain;
-};
 
 /** Sinusoidal day/night modulation of every function's rate. */
 struct DiurnalShape
@@ -208,8 +125,8 @@ struct TrafficConfig
  * precomputes per-function profiles ("tr_<i>_<base>"), tenant
  * assignment, Zipf base rates and burst memberships from the seed;
  * rateAt()/nextArrival() are then pure functions of (function, time)
- * and the caller's Rng stream, so every consumer — sequential driver,
- * parallel fleet, property tests — sees the same traffic.
+ * and the caller's Rng stream, so every consumer — the fleet, benches,
+ * property tests — sees the same traffic.
  */
 class TrafficEngine
 {
@@ -283,38 +200,6 @@ class TrafficEngine
     std::vector<double> burstPeaks; ///< per-fn product of multipliers
     std::vector<Duration> periods;  ///< timer period, 0 = Poisson
     std::vector<Duration> phases;   ///< timer phase in [0, period)
-};
-
-/**
- * Drives a sequential Cluster with TrafficEngine arrivals, open-loop:
- * arrivals fire on schedule whether or not earlier invocations
- * completed, so flash crowds genuinely pile onto the shared data
- * plane (a closed loop would self-throttle exactly when contention
- * matters). Deploys the engine's profiles on construction.
- */
-class TrafficWorkload
-{
-  public:
-    TrafficWorkload(sim::Simulation &sim, Cluster &cluster,
-                    TrafficConfig config);
-
-    const TrafficEngine &engine() const { return eng; }
-
-    /** Run to completion (all fired invocations finished); returns
-     * the cluster's fleetStats() over the measured window. */
-    sim::Task<FleetStats> run();
-
-  private:
-    sim::Task<void> arrivalLoop(int fn, sim::Latch *loops_done);
-    sim::Task<void> fireOne(int fn);
-
-    sim::Simulation &sim;
-    Cluster &cluster;
-    TrafficEngine eng;
-    std::int64_t launched = 0;
-    std::int64_t completed = 0;
-    bool launchDone = false;
-    std::unique_ptr<sim::Gate> drained;
 };
 
 } // namespace vhive::cluster

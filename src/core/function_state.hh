@@ -65,6 +65,13 @@ struct Instance
     std::unique_ptr<mem::UserFaultFd> uffd;
     std::unique_ptr<Monitor> monitor;
     bool busy = false;
+
+    /**
+     * Set when a stop begins, before the uffd shutdown handshake
+     * suspends: a stopping instance is neither warm nor idle, so no
+     * invocation, pre-warm, eviction or scale-down may claim it.
+     */
+    bool stopping = false;
     std::int64_t residualBaseline = 0;
     std::int64_t lastInput = -1;
     Time lastUsedAt = 0;

@@ -174,8 +174,7 @@ Orchestrator::invoke(const std::string &name, ColdStartMode mode,
 
     if (!opts.forceCold) {
         for (auto &inst : st.instances) {
-            if (!inst->busy && inst->vm->state() ==
-                                   vmm::VmState::Running) {
+            if (servesWarm(*inst)) {
                 // Warm path. The guest buddy allocator reuses the
                 // same guest-physical frames across invocations on a
                 // live instance (Sec. 4.4), so by default a warm
@@ -210,8 +209,7 @@ Orchestrator::invoke(const std::string &name, ColdStartMode mode,
                         break;
                     }
                 }
-                if (cand != nullptr && !cand->busy &&
-                    cand->vm->state() == vmm::VmState::Running) {
+                if (cand != nullptr && servesWarm(*cand)) {
                     std::int64_t input = opts.inputId >= 0
                                              ? opts.inputId
                                              : cand->lastInput;
@@ -265,7 +263,7 @@ Orchestrator::invoke(const std::string &name, ColdStartMode mode,
             // on this pre-warm wakes, fails to re-locate the instance,
             // and falls through to its own cold start.
             auto ready = inst.readyGate;
-            co_await stopInstanceByPtr(st, &inst);
+            co_await stopInstance(st, inst);
             if (ready)
                 ready->openGate();
             LatencyBreakdown crashed_bd;
@@ -314,7 +312,7 @@ Orchestrator::invoke(const std::string &name, ColdStartMode mode,
             : 0;
 
     if (!opts.keepWarm)
-        co_await stopInstanceByPtr(st, &inst);
+        co_await stopInstance(st, inst);
     co_return bd;
 }
 
@@ -349,64 +347,70 @@ Orchestrator::makeRoom(Bytes needed)
     while (totalResidentBytes() + needed > memoryCapacity) {
         // Find the least-recently-used idle instance fleet-wide.
         FunctionState *victim_st = nullptr;
-        size_t victim_idx = 0;
-        Time oldest = 0;
-        bool found = false;
+        Instance *victim = nullptr;
         for (auto &entry : functions) {
             auto &st = entry.second;
-            for (size_t i = 0; i < st.instances.size(); ++i) {
-                Instance &inst = *st.instances[i];
-                if (inst.busy)
+            for (auto &inst : st.instances) {
+                if (inst->busy || inst->stopping)
                     continue;
-                if (!found || inst.lastUsedAt < oldest) {
-                    oldest = inst.lastUsedAt;
+                if (victim == nullptr ||
+                    inst->lastUsedAt < victim->lastUsedAt) {
                     victim_st = &st;
-                    victim_idx = i;
-                    found = true;
+                    victim = inst.get();
                 }
             }
         }
-        if (!found)
+        if (victim == nullptr)
             co_return; // nothing evictable; admit over budget
-        co_await stopInstance(*victim_st, victim_idx);
+        co_await stopInstance(*victim_st, *victim);
         ++_capacityEvictions;
     }
 }
 
 sim::Task<void>
-Orchestrator::stopInstance(FunctionState &st, size_t index)
+Orchestrator::stopInstance(FunctionState &st, Instance &inst)
 {
-    VHIVE_ASSERT(index < st.instances.size());
-    Instance &inst = *st.instances[index];
-    VHIVE_ASSERT(!inst.busy);
+    VHIVE_ASSERT(!inst.busy && !inst.stopping);
+    inst.stopping = true;
     if (inst.preWarmed)
         ++_wastedPreWarms;
     if (inst.uffd && inst.monitor) {
         inst.uffd->sendShutdown();
         co_await inst.monitor->doneGate().wait();
     }
-    st.instances.erase(st.instances.begin() +
-                       static_cast<std::ptrdiff_t>(index));
+    auto it = std::find_if(
+        st.instances.begin(), st.instances.end(),
+        [&inst](const auto &i) { return i.get() == &inst; });
+    VHIVE_ASSERT(it != st.instances.end());
+    st.instances.erase(it);
 }
 
-sim::Task<void>
-Orchestrator::stopInstanceByPtr(FunctionState &st, Instance *inst)
+bool
+Orchestrator::servesWarm(const Instance &inst)
 {
-    for (size_t i = 0; i < st.instances.size(); ++i) {
-        if (st.instances[i].get() == inst) {
-            co_await stopInstance(st, i);
-            co_return;
-        }
-    }
-    panic("stopInstanceByPtr: instance not found");
+    return !inst.busy && !inst.stopping &&
+           inst.vm->state() == vmm::VmState::Running;
 }
 
 sim::Task<void>
 Orchestrator::stopAllInstances(const std::string &name)
 {
     FunctionState &st = state(name);
-    while (!st.instances.empty())
-        co_await stopInstance(st, st.instances.size() - 1);
+    while (!st.instances.empty()) {
+        // Back to front; an instance another path is already
+        // stopping is left to that path.
+        Instance *victim = nullptr;
+        for (auto it = st.instances.rbegin(); it != st.instances.rend();
+             ++it) {
+            if (!(*it)->stopping) {
+                victim = it->get();
+                break;
+            }
+        }
+        if (victim == nullptr)
+            co_return;
+        co_await stopInstance(st, *victim);
+    }
 }
 
 sim::Task<std::int64_t>
@@ -419,7 +423,7 @@ Orchestrator::stopIdleInstances(const std::string &name)
     // was made — it was just in use and must survive this round.
     std::vector<std::uint64_t> victims;
     for (size_t i = st.instances.size(); i-- > 0;) {
-        if (!st.instances[i]->busy)
+        if (!st.instances[i]->busy && !st.instances[i]->stopping)
             victims.push_back(st.instances[i]->id);
     }
     std::int64_t stopped = 0;
@@ -428,16 +432,16 @@ Orchestrator::stopIdleInstances(const std::string &name)
         // stopInstance suspends and the vector may shift (or another
         // path — capacity eviction, a warm dispatch — may have
         // claimed or retired the instance) meanwhile.
-        size_t idx = st.instances.size();
-        for (size_t i = 0; i < st.instances.size(); ++i) {
-            if (st.instances[i]->id == victim) {
-                idx = i;
+        Instance *inst = nullptr;
+        for (auto &i : st.instances) {
+            if (i->id == victim) {
+                inst = i.get();
                 break;
             }
         }
-        if (idx == st.instances.size() || st.instances[idx]->busy)
+        if (inst == nullptr || inst->busy || inst->stopping)
             continue;
-        co_await stopInstance(st, idx);
+        co_await stopInstance(st, *inst);
         ++stopped;
     }
     co_return stopped;
@@ -455,7 +459,7 @@ Orchestrator::idleInstanceCount(const std::string &name) const
     const FunctionState &st = state(name);
     std::int64_t idle = 0;
     for (const auto &inst : st.instances)
-        if (!inst->busy)
+        if (!inst->busy && !inst->stopping)
             ++idle;
     return idle;
 }
@@ -658,9 +662,7 @@ Orchestrator::preWarm(const std::string &name, ColdStartMode mode)
 {
     FunctionState &st = state(name);
     for (const auto &inst : st.instances) {
-        if (inst->warming ||
-            (!inst->busy &&
-             inst->vm->state() == vmm::VmState::Running)) {
+        if (inst->warming || servesWarm(*inst)) {
             // Already warm (or getting there): nothing to do.
             co_return LatencyBreakdown{};
         }

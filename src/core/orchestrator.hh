@@ -337,12 +337,15 @@ class Orchestrator
     invokeWarm(FunctionState &st, Instance &inst,
                const func::InvocationTrace &trace);
 
-    /** Retire one instance (stop monitor, destroy VM). */
-    sim::Task<void> stopInstance(FunctionState &st, size_t index);
+    /**
+     * Retire @p inst (stop monitor, destroy VM): mark it stopping,
+     * run the uffd shutdown handshake, then erase it by identity —
+     * the instance vector may shift while the handshake suspends.
+     */
+    sim::Task<void> stopInstance(FunctionState &st, Instance &inst);
 
-    /** Retire the instance identified by pointer. */
-    sim::Task<void> stopInstanceByPtr(FunctionState &st,
-                                      Instance *inst);
+    /** Whether @p inst can serve a warm invocation right now. */
+    static bool servesWarm(const Instance &inst);
 
     /** Allocate a fresh Instance slot for @p st. */
     Instance &createInstance(FunctionState &st);

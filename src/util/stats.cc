@@ -11,7 +11,15 @@ void
 Samples::add(double v)
 {
     data.push_back(v);
-    sorted = false;
+    sortedValid = false;
+}
+
+void
+Samples::clear()
+{
+    data.clear();
+    sorted.clear();
+    sortedValid = true;
 }
 
 double
@@ -72,14 +80,15 @@ Samples::stddev() const
     return std::sqrt(acc / static_cast<double>(data.size() - 1));
 }
 
-void
-Samples::ensureSorted() const
+const std::vector<double> &
+Samples::sortedValues() const
 {
-    if (!sorted) {
-        auto &mut = const_cast<std::vector<double> &>(data);
-        std::sort(mut.begin(), mut.end());
-        sorted = true;
+    if (!sortedValid) {
+        sorted = data;
+        std::sort(sorted.begin(), sorted.end());
+        sortedValid = true;
     }
+    return sorted;
 }
 
 double
@@ -88,14 +97,14 @@ Samples::percentile(double p) const
     if (data.empty())
         return 0.0;
     VHIVE_ASSERT(p >= 0.0 && p <= 100.0);
-    ensureSorted();
-    if (data.size() == 1)
-        return data[0];
-    double rank = (p / 100.0) * static_cast<double>(data.size() - 1);
+    const std::vector<double> &s = sortedValues();
+    if (s.size() == 1)
+        return s[0];
+    double rank = (p / 100.0) * static_cast<double>(s.size() - 1);
     auto lo_idx = static_cast<size_t>(rank);
-    size_t hi_idx = std::min(lo_idx + 1, data.size() - 1);
+    size_t hi_idx = std::min(lo_idx + 1, s.size() - 1);
     double frac = rank - static_cast<double>(lo_idx);
-    return data[lo_idx] * (1.0 - frac) + data[hi_idx] * frac;
+    return s[lo_idx] * (1.0 - frac) + s[hi_idx] * frac;
 }
 
 void

@@ -52,16 +52,20 @@ class Samples
     double percentile(double p) const;
 
     /** Remove all samples. */
-    void clear() { data.clear(); sorted = true; }
+    void clear();
 
-    /** Raw access for custom post-processing. */
+    /** Raw access for custom post-processing, in arrival order (no
+     * query reorders them). */
     const std::vector<double> &values() const { return data; }
 
   private:
-    void ensureSorted() const;
+    /** The samples in ascending order: a cached copy, rebuilt on the
+     * first percentile() after add() or clear(). */
+    const std::vector<double> &sortedValues() const;
 
     std::vector<double> data;
-    mutable bool sorted = true;
+    mutable std::vector<double> sorted;
+    mutable bool sortedValid = true;
 };
 
 /**

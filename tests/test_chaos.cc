@@ -28,11 +28,12 @@
 #include <vector>
 
 #include "cluster/azure_workload.hh"
-#include "cluster/cluster.hh"
 #include "cluster/parallel_fleet.hh"
 #include "cluster/snapshot_registry.hh"
 #include "cluster/traffic.hh"
 #include "core/options.hh"
+#include "core/worker.hh"
+#include "fleet_script.hh"
 #include "func/profile.hh"
 #include "mem/page_fetch.hh"
 #include "mem/page_source.hh"
@@ -287,10 +288,10 @@ TEST(ChaosHedge, ZeroDelayIsBitIdenticalToUnhedged)
 
 // ---------------------------------------------- worker crashes, retries
 
-cluster::ClusterConfig
+cluster::ParallelFleetConfig
 tieredConfig(int workers)
 {
-    cluster::ClusterConfig cfg;
+    cluster::ParallelFleetConfig cfg;
     cfg.workers = workers;
     cfg.coldStartMode = core::ColdStartMode::TieredReap;
     cfg.sharedSnapshots = true;
@@ -298,94 +299,119 @@ tieredConfig(int workers)
     return cfg;
 }
 
+/** When the scripts of a fleet of @p cfg deploying @p profiles start:
+ * staging and adoption are deterministic, so fault windows placed
+ * relative to this instant land in the measured window. */
+Time
+readyAt(const cluster::ParallelFleetConfig &cfg,
+        std::vector<func::FunctionProfile> profiles)
+{
+    Time t = -1;
+    cluster::ParallelFleet f(cfg);
+    (void)f.run(std::move(profiles),
+                [&t](cluster::FleetClient &c) -> Task<void> {
+                    t = c.sim().now();
+                    co_return;
+                });
+    return t;
+}
+
+/** Stage, then one invocation of helloworld at simulated time @p at. */
+Task<void>
+invokeAt(cluster::FleetClient &c, Time at, Duration *e2e)
+{
+    EXPECT_LT(c.sim().now(), at); // staging done before the faults
+    co_await c.sim().delay(at - c.sim().now());
+    *e2e = co_await c.invoke("helloworld");
+}
+
 TEST(ChaosCrash, WorkerCrashRetriesAndCompletes)
 {
-    Simulation sim;
-    cluster::Cluster c(sim, tieredConfig(1));
-    c.deploy(func::profileByName("helloworld"));
+    cluster::ParallelFleetConfig cfg = tieredConfig(1);
+    // The crash window covers the first cold-start attempt only: the
+    // 2 s of lost work advances time past the window, so the retry
+    // (on the same, only, worker) succeeds.
+    cfg.storeFaults.push_back(spec(FaultKind::WorkerCrash, "worker/0",
+                                   sec(20), sec(21), 2000.0));
+    cluster::ParallelFleet c(cfg);
+    Duration e2e = 0;
+    (void)c.run(cluster::testing::profilesOf({"helloworld"}),
+                [&](cluster::FleetClient &client) {
+                    return invokeAt(client, sec(20), &e2e);
+                });
+    EXPECT_GT(e2e, sec(2)); // paid the lost work before retrying
 
-    FaultPlan plan(5);
-    runScenario(sim, [&]() -> Task<void> {
-        co_await c.prepareAllSnapshots();
-        // The crash window covers the first cold-start attempt only:
-        // the 2 s of lost work advances time past the window, so the
-        // retry (on the same, only, worker) succeeds.
-        Time base = sim.now();
-        plan.add(spec(FaultKind::WorkerCrash, "worker/0", base,
-                      base + sec(1), 2000.0));
-        c.installFaultPlan(&plan);
-        Duration e2e = co_await c.invoke("helloworld");
-        EXPECT_GT(e2e, sec(2)); // paid the lost work before retrying
-        c.installFaultPlan(nullptr);
-    });
-
-    EXPECT_EQ(plan.stats().workerCrashes, 1);
+    EXPECT_EQ(c.faultStats().workerCrashes, 1);
     const auto &st = c.stats("helloworld");
     EXPECT_EQ(st.crashRetries, 1);
     EXPECT_EQ(st.coldStarts, 1);
     EXPECT_EQ(st.failedInvocations, 0);
     // The crashed attempt's instance was torn down; the retry's one
     // instance is the only survivor.
-    EXPECT_EQ(c.instanceCount("helloworld"), 1);
-    EXPECT_EQ(c.worker(0).orchestrator().stats("helloworld").crashes,
-              1);
+    EXPECT_EQ(c.worker(0).orchestrator().instanceCount("helloworld"), 1);
+    EXPECT_EQ(c.worker(0).orchestrator().stats("helloworld").crashes, 1);
 }
 
 TEST(ChaosCrash, ExhaustedRetriesFailExactlyOnce)
 {
-    Simulation sim;
-    cluster::ClusterConfig cfg = tieredConfig(1);
+    cluster::ParallelFleetConfig cfg = tieredConfig(1);
     cfg.maxColdStartRetries = 2;
-    cluster::Cluster c(sim, cfg);
-    c.deploy(func::profileByName("helloworld"));
-
-    FaultPlan plan(6);
-    runScenario(sim, [&]() -> Task<void> {
-        co_await c.prepareAllSnapshots();
-        // A crash window covering the rest of the run at probability
-        // 1: every attempt crashes, retries exhaust, the invocation is
-        // reported failed exactly once — in failedInvocations, not
-        // coldStarts.
-        plan.add(spec(FaultKind::WorkerCrash, "worker/*", sim.now(),
-                      sim.now() + sec(9000), 50.0));
-        c.installFaultPlan(&plan);
-        (void)co_await c.invoke("helloworld");
-        c.installFaultPlan(nullptr);
-    });
+    // A crash window covering the rest of the run at probability 1:
+    // every attempt crashes, retries exhaust, the invocation is
+    // reported failed exactly once — in failedInvocations, not
+    // coldStarts.
+    cfg.storeFaults.push_back(spec(FaultKind::WorkerCrash, "worker/*",
+                                   sec(20), sec(9000), 50.0));
+    cluster::ParallelFleet c(cfg);
+    Duration e2e = 0;
+    cluster::FleetStats r =
+        c.run(cluster::testing::profilesOf({"helloworld"}),
+              [&](cluster::FleetClient &client) {
+                  return invokeAt(client, sec(20), &e2e);
+              });
 
     const auto &st = c.stats("helloworld");
-    EXPECT_EQ(plan.stats().workerCrashes, 3); // initial + 2 retries
+    EXPECT_EQ(c.faultStats().workerCrashes, 3); // initial + 2 retries
     EXPECT_EQ(st.crashRetries, 2);
     EXPECT_EQ(st.failedInvocations, 1);
     EXPECT_EQ(st.coldStarts, 0);
     EXPECT_EQ(st.warmHits, 0);
-    // Accepted == served-or-failed, exactly once.
+    // Accepted == served-or-failed, exactly once, fleet-wide too.
     EXPECT_EQ(st.coldStarts + st.warmHits + st.failedInvocations, 1);
+    EXPECT_EQ(r.failedInvocations, 1);
+    EXPECT_EQ(r.invocations, 1);
     // Every crashed instance was torn down.
-    EXPECT_EQ(c.instanceCount("helloworld"), 0);
+    EXPECT_EQ(c.worker(0).orchestrator().instanceCount("helloworld"), 0);
 }
 
 // --------------------------------------------------------- staging
 
+Task<void>
+stageOnly(cluster::FleetClient &)
+{
+    co_return;
+}
+
 TEST(ChaosStaging, OutageStallsButStagesOnce)
 {
-    Simulation sim;
-    cluster::Cluster c(sim, tieredConfig(2));
-    c.deploy(func::profileByName("pyaes"));
-    FaultPlan plan(8);
-    plan.add(spec(FaultKind::StagingOutage, "staging/*", 0, sec(5)));
-    c.installFaultPlan(&plan);
-    runScenario(sim, [&]() -> Task<void> {
-        co_await c.prepareAllSnapshots();
-    });
-    c.installFaultPlan(nullptr);
+    cluster::ParallelFleetConfig cfg = tieredConfig(2);
+    cfg.storeFaults.push_back(
+        spec(FaultKind::StagingOutage, "staging/*", 0, sec(5)));
+    cluster::ParallelFleet c(cfg);
+    Time ready = -1;
+    (void)c.run(cluster::testing::profilesOf({"pyaes"}),
+                [&](cluster::FleetClient &client) -> Task<void> {
+                    ready = client.sim().now();
+                    co_return;
+                });
 
-    EXPECT_GE(plan.stats().stagingStalls, 1);
+    EXPECT_GE(c.faultStats().stagingStalls, 1);
     EXPECT_EQ(c.snapshotRegistry()->totalBuilds(), 1);
     EXPECT_EQ(c.sharedObjectStore()->stats().puts, 1);
     EXPECT_TRUE(c.snapshotRegistry()->isStaged("pyaes"));
-    // The stall pushed staging past the outage window.
-    EXPECT_GE(sim.now(), sec(5));
+    // The stall pushed staging (and so the fleet's readiness) past
+    // the outage window.
+    EXPECT_GE(ready, sec(5));
 }
 
 TEST(ChaosStaging, MidStageCrashRollsBackAndConverges)
@@ -393,38 +419,34 @@ TEST(ChaosStaging, MidStageCrashRollsBackAndConverges)
     // Chunked (DedupReap) staging crashed mid-pass must roll its chunk
     // references back and retry; the converged index must match a
     // crash-free staging exactly.
-    auto stage_once = [](FaultPlan *plan) {
-        auto sim = std::make_unique<Simulation>();
-        cluster::ClusterConfig cfg;
+    auto stage_once = [](bool faults) {
+        cluster::ParallelFleetConfig cfg;
         cfg.workers = 2;
         cfg.coldStartMode = core::ColdStartMode::DedupReap;
         cfg.sharedSnapshots = true;
-        auto c = std::make_unique<cluster::Cluster>(*sim, cfg);
-        c->deploy(func::profileByName("helloworld"));
-        c->deploy(func::profileByName("pyaes"));
-        if (plan != nullptr)
-            c->installFaultPlan(plan);
-        runScenario(*sim, [&]() -> Task<void> {
-            co_await c->prepareAllSnapshots();
-        });
-        if (plan != nullptr)
-            c->installFaultPlan(nullptr);
-        return std::make_pair(std::move(sim), std::move(c));
+        if (faults) {
+            // Crashes fire per staged chunk with p=0.01 inside a long
+            // window; every crash pays lost work and every upload pays
+            // store time, so simulated time marches toward the window
+            // end and staging always converges.
+            cfg.faultSeed = 9;
+            cfg.storeFaults.push_back(spec(FaultKind::WorkerCrash,
+                                           "staging/*", 0, sec(120), 5.0,
+                                           0.01));
+        }
+        auto c = std::make_unique<cluster::ParallelFleet>(cfg);
+        (void)c->run(
+            cluster::testing::profilesOf({"helloworld", "pyaes"}),
+            stageOnly);
+        return c;
     };
 
-    auto [sim_ok, clean] = stage_once(nullptr);
-    FaultPlan plan(9);
-    // Crashes fire per staged chunk with p=0.01 inside a long window;
-    // every crash pays lost work and every upload pays store time, so
-    // simulated time marches toward the window end and staging always
-    // converges.
-    plan.add(spec(FaultKind::WorkerCrash, "staging/*", 0, sec(120),
-                  5.0, 0.01));
-    auto [sim_f, faulted] = stage_once(&plan);
+    auto clean = stage_once(false);
+    auto faulted = stage_once(true);
 
-    EXPECT_GE(plan.stats().workerCrashes, 1);
-    auto *creg = clean->snapshotRegistry();
-    auto *freg = faulted->snapshotRegistry();
+    EXPECT_GE(faulted->faultStats().workerCrashes, 1);
+    const auto *creg = clean->snapshotRegistry();
+    const auto *freg = faulted->snapshotRegistry();
     for (const char *fn : {"helloworld", "pyaes"}) {
         const cluster::StagedArtifact &a = creg->artifact(fn);
         const cluster::StagedArtifact &b = freg->artifact(fn);
@@ -452,142 +474,143 @@ TEST(ChaosStaging, MidStageCrashRollsBackAndConverges)
 
 TEST(ChaosStaging, SingleFlightNeverDoubleStagesUnderStorm)
 {
-    // Concurrent ensureStaged callers during a latency storm: the slow
+    // Concurrent stage() callers during a latency storm: the slow
     // staging pass is in flight far longer, yet later callers must
     // wait on it, never duplicate it.
     Simulation sim;
-    cluster::Cluster c(sim, tieredConfig(4));
-    c.deploy(func::profileByName("helloworld"));
-    c.deploy(func::profileByName("json_serdes"));
+    core::Worker home(sim);
+    net::ObjectStore store(sim, net::ObjectStoreParams::remote());
     FaultPlan plan(10);
     plan.add(
         spec(FaultKind::LatencyStorm, "store/shared", 0, sec(60), 8.0));
-    c.installFaultPlan(&plan);
+    store.setFaultPlan(&plan, "store/shared");
+    cluster::FleetConfig cfg;
+    cfg.workers = 4;
+    cfg.coldStartMode = core::ColdStartMode::TieredReap;
+    cluster::SnapshotRegistry reg(sim, store, cfg);
+    std::vector<cluster::StagePayload> payloads(2);
+    const char *names[] = {"helloworld", "json_serdes"};
+    for (const char *n : names)
+        home.orchestrator().registerFunction(func::profileByName(n));
+
+    struct Stager {
+        static Task<void>
+        run(cluster::SnapshotRegistry &r,
+            const std::vector<cluster::StagePayload> *p, sim::Latch *done)
+        {
+            co_await r.stage("helloworld", (*p)[0]);
+            co_await r.stage("json_serdes", (*p)[1]);
+            done->arrive();
+        }
+    };
     runScenario(sim, [&]() -> Task<void> {
-        struct Prep {
-            static Task<void>
-            run(cluster::Cluster &c, sim::Latch *done)
-            {
-                co_await c.prepareAllSnapshots();
-                done->arrive();
-            }
-        };
+        for (int i = 0; i < 2; ++i)
+            payloads[static_cast<std::size_t>(i)] =
+                co_await cluster::homeStagePayload(
+                    home, names[i], core::ColdStartMode::TieredReap);
         sim::Latch done(sim, 4);
         for (int i = 0; i < 4; ++i)
-            sim.spawn(Prep::run(c, &done));
+            sim.spawn(Stager::run(reg, &payloads, &done));
         co_await done.wait();
     });
-    c.installFaultPlan(nullptr);
 
     EXPECT_GT(plan.stats().stormHits, 0);
-    EXPECT_EQ(c.snapshotRegistry()->totalBuilds(), 2);
-    EXPECT_EQ(c.sharedObjectStore()->stats().puts, 2);
+    EXPECT_EQ(reg.totalBuilds(), 2);
+    EXPECT_EQ(store.stats().puts, 2);
 }
 
 // ------------------------------------------------- whole-workload runs
 
+/** A faulted workload run's fleet result and fault counters. */
+struct FaultedRun
+{
+    cluster::FleetStats r;
+    sim::FaultStats faults;
+};
+
 /**
- * Stage the fleet, then let @p arm add fault windows relative to the
- * post-staging time (faults land in the measured window, not on the
- * staging prologue), install the plan and drive the workload.
+ * Let @p arm add fault specs relative to the fleet's ready time
+ * (faults land in the measured window, not on the staging prologue),
+ * seed the plans with @p seed and drive the configured workload.
  */
 template <typename Arm>
-cluster::FleetStats
-runAzure(cluster::ClusterConfig ccfg, cluster::AzureWorkloadConfig wcfg,
-         FaultPlan *plan, Arm &&arm)
+FaultedRun
+runFaulted(cluster::ParallelFleetConfig cfg, std::uint64_t seed, Arm &&arm)
 {
-    Simulation sim;
-    cluster::Cluster c(sim, ccfg);
-    cluster::AzureWorkload w(sim, c, wcfg);
-    cluster::FleetStats result;
-    runScenario(sim, [&]() -> Task<void> {
-        co_await c.prepareAllSnapshots();
-        if (plan != nullptr) {
-            arm(*plan, sim.now());
-            c.installFaultPlan(plan);
-        }
-        result = co_await w.run();
-        c.installFaultPlan(nullptr);
-    });
-    return result;
+    cluster::ParallelFleet probe(cfg);
+    Time base = readyAt(cfg, probe.workloadProfiles());
+    arm(cfg.storeFaults, base);
+    cfg.faultSeed = seed;
+    cluster::ParallelFleet c(cfg);
+    FaultedRun out;
+    out.r = c.run();
+    out.faults = c.faultStats();
+    return out;
 }
 
-cluster::FleetStats
-runAzure(cluster::ClusterConfig ccfg, cluster::AzureWorkloadConfig wcfg)
+cluster::ParallelFleetConfig
+azureConfig(cluster::ParallelFleetConfig cfg)
 {
-    return runAzure(ccfg, wcfg, nullptr, [](FaultPlan &, Time) {});
+    cfg.workload.functions = 4;
+    cfg.workload.minInterarrival = sec(2);
+    cfg.workload.maxInterarrival = sec(20);
+    cfg.workload.horizon = sec(120);
+    return cfg;
 }
 
-cluster::AzureWorkloadConfig
-shortMix()
-{
-    cluster::AzureWorkloadConfig wcfg;
-    wcfg.functions = 4;
-    wcfg.minInterarrival = sec(2);
-    wcfg.maxInterarrival = sec(20);
-    wcfg.horizon = sec(120);
-    return wcfg;
-}
+using Specs = std::vector<FaultSpec>;
 
 TEST(ChaosWorkload, FaultFreeBitIdenticalWithDormantPlan)
 {
     // Installing a plan whose windows never open must not change a
     // single sample: hook points draw nothing outside windows.
-    cluster::ClusterConfig ccfg = tieredConfig(2);
-    auto base = runAzure(ccfg, shortMix());
-    FaultPlan dormant(99);
-    auto far_future = [](FaultPlan &p, Time base_t) {
-        p.add(spec(FaultKind::StoreOutage, "*", base_t + sec(90000),
-                   base_t + sec(90060)));
-        p.add(spec(FaultKind::WorkerCrash, "*", base_t + sec(90000),
-                   base_t + sec(90060), 10.0, 0.5));
-        p.add(spec(FaultKind::Straggler, "*", base_t + sec(90000),
-                   base_t + sec(90060), 10.0, 0.5));
+    cluster::ParallelFleetConfig cfg = azureConfig(tieredConfig(2));
+    auto base = runFaulted(cfg, 0, [](Specs &, Time) {});
+    auto far_future = [](Specs &p, Time base_t) {
+        p.push_back(spec(FaultKind::StoreOutage, "*", base_t + sec(90000),
+                         base_t + sec(90060)));
+        p.push_back(spec(FaultKind::WorkerCrash, "*", base_t + sec(90000),
+                         base_t + sec(90060), 10.0, 0.5));
+        p.push_back(spec(FaultKind::Straggler, "*", base_t + sec(90000),
+                         base_t + sec(90060), 10.0, 0.5));
     };
-    auto dormant_run = runAzure(ccfg, shortMix(), &dormant, far_future);
+    auto dormant = runFaulted(cfg, 99, far_future);
 
-    ASSERT_GT(base.invocations, 5);
-    EXPECT_EQ(base.invocations, dormant_run.invocations);
-    EXPECT_EQ(base.coldStarts, dormant_run.coldStarts);
-    EXPECT_EQ(base.warmHits, dormant_run.warmHits);
-    ASSERT_EQ(base.e2eLatencyMs.values().size(),
-              dormant_run.e2eLatencyMs.values().size());
-    for (size_t i = 0; i < base.e2eLatencyMs.values().size(); ++i)
-        EXPECT_EQ(base.e2eLatencyMs.values()[i],
-                  dormant_run.e2eLatencyMs.values()[i])
-            << "sample " << i;
+    ASSERT_GT(base.r.invocations, 5);
+    EXPECT_EQ(base.r.invocations, dormant.r.invocations);
+    EXPECT_EQ(base.r.coldStarts, dormant.r.coldStarts);
+    EXPECT_EQ(base.r.warmHits, dormant.r.warmHits);
+    EXPECT_EQ(base.r.e2eLatencyMs.values(),
+              dormant.r.e2eLatencyMs.values());
     // Every fleet counter, store retries and stalls included.
-    EXPECT_EQ(base.digest(), dormant_run.digest());
+    EXPECT_EQ(base.r.digest(), dormant.r.digest());
 }
 
 TEST(ChaosWorkload, SameSeedSamePlanBitIdentical)
 {
-    cluster::ClusterConfig ccfg = tieredConfig(2);
-    auto arm = [](FaultPlan &p, Time base_t) {
-        p.add(spec(FaultKind::Straggler, "store/*", base_t,
-                   base_t + sec(120), 10.0, 0.2));
-        p.add(spec(FaultKind::WorkerCrash, "worker/*",
-                   base_t + sec(20), base_t + sec(40), 100.0, 0.3));
+    cluster::ParallelFleetConfig cfg = azureConfig(tieredConfig(2));
+    auto arm = [](Specs &p, Time base_t) {
+        p.push_back(spec(FaultKind::Straggler, "store/*", base_t,
+                         base_t + sec(120), 10.0, 0.2));
+        p.push_back(spec(FaultKind::WorkerCrash, "worker/*",
+                         base_t + sec(20), base_t + sec(40), 100.0, 0.3));
     };
 
-    FaultPlan a(42), b(42), d(43);
-    auto ra = runAzure(ccfg, shortMix(), &a, arm);
-    auto rb = runAzure(ccfg, shortMix(), &b, arm);
-    auto rd = runAzure(ccfg, shortMix(), &d, arm);
+    auto a = runFaulted(cfg, 42, arm);
+    auto b = runFaulted(cfg, 42, arm);
+    auto d = runFaulted(cfg, 43, arm);
 
     // Same (seed, plan, workload): bit-identical histories.
-    ASSERT_EQ(ra.e2eLatencyMs.values().size(),
-              rb.e2eLatencyMs.values().size());
-    for (size_t i = 0; i < ra.e2eLatencyMs.values().size(); ++i)
-        EXPECT_EQ(ra.e2eLatencyMs.values()[i],
-                  rb.e2eLatencyMs.values()[i]);
-    EXPECT_EQ(a.stats().stragglers, b.stats().stragglers);
-    EXPECT_EQ(a.stats().workerCrashes, b.stats().workerCrashes);
+    EXPECT_EQ(a.r.e2eLatencyMs.values(), b.r.e2eLatencyMs.values());
+    EXPECT_EQ(a.r.digest(), b.r.digest());
+    EXPECT_EQ(a.faults.stragglers, b.faults.stragglers);
+    EXPECT_EQ(a.faults.workerCrashes, b.faults.workerCrashes);
+    EXPECT_GT(a.faults.stragglers, 0);
 
     // A different plan seed redraws the Bernoulli streams.
     bool differs =
-        ra.e2eLatencyMs.values() != rd.e2eLatencyMs.values() ||
-        a.stats().stragglers != d.stats().stragglers;
+        a.r.e2eLatencyMs.values() != d.r.e2eLatencyMs.values() ||
+        a.faults.stragglers != d.faults.stragglers;
     EXPECT_TRUE(differs);
 }
 
@@ -599,27 +622,27 @@ TEST(ChaosWorkload, SweepInvariantsAcrossPlansClassesAndModes)
     struct PlanMaker {
         const char *name;
         std::uint64_t seed;
-        void (*arm)(FaultPlan &, Time);
+        void (*arm)(Specs &, Time);
     };
     const PlanMaker plans[] = {
         {"outage", 101,
-         [](FaultPlan &p, Time t) {
-             p.add(spec(FaultKind::StoreOutage, "store/*", t + sec(10),
-                        t + sec(14)));
+         [](Specs &p, Time t) {
+             p.push_back(spec(FaultKind::StoreOutage, "store/*",
+                              t + sec(10), t + sec(14)));
          }},
         {"storm+straggler", 102,
-         [](FaultPlan &p, Time t) {
-             p.add(spec(FaultKind::LatencyStorm, "store/*", t + sec(5),
-                        t + sec(30), 4.0));
-             p.add(spec(FaultKind::Straggler, "store/*", t,
-                        t + sec(120), 12.0, 0.25));
+         [](Specs &p, Time t) {
+             p.push_back(spec(FaultKind::LatencyStorm, "store/*",
+                              t + sec(5), t + sec(30), 4.0));
+             p.push_back(spec(FaultKind::Straggler, "store/*", t,
+                              t + sec(120), 12.0, 0.25));
          }},
         {"crash+errors", 103,
-         [](FaultPlan &p, Time t) {
-             p.add(spec(FaultKind::WorkerCrash, "worker/*", t + sec(10),
-                        t + sec(60), 80.0, 0.5));
-             p.add(spec(FaultKind::RequestError, "store/*", t,
-                        t + sec(120), 1.0, 0.3));
+         [](Specs &p, Time t) {
+             p.push_back(spec(FaultKind::WorkerCrash, "worker/*",
+                              t + sec(10), t + sec(60), 80.0, 0.5));
+             p.push_back(spec(FaultKind::RequestError, "store/*", t,
+                              t + sec(120), 1.0, 0.3));
          }},
     };
     const std::vector<func::FunctionClass> class_mixes[] = {
@@ -638,12 +661,12 @@ TEST(ChaosWorkload, SweepInvariantsAcrossPlansClassesAndModes)
                 SCOPED_TRACE(std::string(pm.name) + " classes=" +
                              std::to_string(mix.size()) + " mode=" +
                              core::coldStartModeName(mode));
-                cluster::ClusterConfig ccfg = tieredConfig(2);
-                ccfg.coldStartMode = mode;
-                cluster::AzureWorkloadConfig wcfg = shortMix();
-                wcfg.classMix = mix;
-                FaultPlan plan(pm.seed);
-                auto r = runAzure(ccfg, wcfg, &plan, pm.arm);
+                cluster::ParallelFleetConfig cfg =
+                    azureConfig(tieredConfig(2));
+                cfg.coldStartMode = mode;
+                cfg.workload.classMix = mix;
+                const cluster::FleetStats r =
+                    runFaulted(cfg, pm.seed, pm.arm).r;
                 EXPECT_GT(r.invocations, 0);
                 // Exactly-once completion accounting.
                 EXPECT_EQ(r.coldStarts + r.warmHits +
@@ -666,8 +689,7 @@ TEST(ChaosWorkload, OutageOverFlashCrowdWithPreWarmsExactlyOnce)
     // accounting must still balance — every accepted invocation lands
     // in exactly one of cold/warm/failed, and pre-warm loads are
     // counted as pre-warms, never as invocations.
-    Simulation sim;
-    cluster::ClusterConfig cfg = tieredConfig(4);
+    cluster::ParallelFleetConfig cfg = tieredConfig(4);
     cfg.sharedStoreShards = 4;
     cfg.keepAlive = sec(20);
     // Default (spreading) routing, deliberately: the crowd spills onto
@@ -675,7 +697,6 @@ TEST(ChaosWorkload, OutageOverFlashCrowdWithPreWarmsExactlyOnce)
     // LocalityHash every function's working set is already resident on
     // its home worker by crowd time and the dark shard is never hit.
     cfg.controlPolicy = cluster::ControlPolicyKind::HybridHistogram;
-    cluster::Cluster c(sim, cfg);
 
     cluster::TrafficConfig tcfg;
     tcfg.functions = 12;
@@ -692,44 +713,35 @@ TEST(ChaosWorkload, OutageOverFlashCrowdWithPreWarmsExactlyOnce)
     crowd.duration = sec(40);
     crowd.multiplier = 10.0;
     tcfg.bursts.push_back(crowd);
+    cfg.traffic = tcfg;
 
-    cluster::TrafficWorkload workload(sim, c, tcfg);
-    FaultPlan plan(0xc0a7);
-    cluster::FleetStats r;
-    runScenario(sim, [&]() -> Task<void> {
-        co_await c.prepareAllSnapshots();
-        // The whole shared store dark for exactly the crowd window:
-        // any chunk fetch the crowd forces mid-window stalls.
-        Time base = sim.now();
+    // The whole shared store dark for exactly the crowd window: any
+    // chunk fetch the crowd forces mid-window stalls.
+    auto run = runFaulted(cfg, 0xc0a7, [&](Specs &p, Time base) {
         for (int s = 0; s < cfg.sharedStoreShards; ++s)
-            plan.add(spec(FaultKind::StoreOutage,
-                          "store/shared/" + std::to_string(s),
-                          base + crowd.start,
-                          base + crowd.start + crowd.duration));
-        c.installFaultPlan(&plan);
-        r = co_await workload.run();
-        c.installFaultPlan(nullptr);
+            p.push_back(spec(FaultKind::StoreOutage,
+                             "store/shared/" + std::to_string(s),
+                             base + crowd.start,
+                             base + crowd.start + crowd.duration));
     });
-
-    cluster::FleetStats fs = c.fleetStats();
+    const cluster::FleetStats &r = run.r;
     ASSERT_GT(r.invocations, 0);
     // Exactly-once completion accounting across the whole run.
     EXPECT_EQ(r.coldStarts + r.warmHits + r.failedInvocations,
               r.invocations);
-    EXPECT_EQ(static_cast<std::int64_t>(
-                  r.e2eLatencyMs.values().size()),
+    EXPECT_EQ(static_cast<std::int64_t>(r.e2eLatencyMs.values().size()),
               r.invocations);
     // The control plane really was active across the outage, and its
     // loads are accounted separately from invocations: each pre-warm
     // produces at most one instance, which is later hit once or
     // retired once (or is still resident at shutdown).
-    EXPECT_GT(fs.preWarms, 0);
-    EXPECT_LE(fs.preWarmHits, fs.preWarms);
-    EXPECT_LE(fs.preWarmHits + fs.wastedPreWarms, fs.preWarms);
+    EXPECT_GT(r.preWarms, 0);
+    EXPECT_LE(r.preWarmHits, r.preWarms);
+    EXPECT_LE(r.preWarmHits + r.wastedPreWarms, r.preWarms);
     // A pre-warm hit is a warm hit served off a pre-warmed instance.
-    EXPECT_LE(fs.preWarmHits, r.warmHits);
+    EXPECT_LE(r.preWarmHits, r.warmHits);
     // The outage genuinely stalled requests during the crowd.
-    EXPECT_GE(plan.stats().outageStalls, 1);
+    EXPECT_GE(run.faults.outageStalls, 1);
 }
 
 // ------------------------------------------------------ parallel fleet
@@ -822,6 +834,10 @@ TEST(ChaosParallel, RejectsUnsupportedConfigsWithCleanError)
     rejects([](Cfg &c) { c.keepAlive = 0; }, "keepAlive");
     rejects([](Cfg &c) { c.scalePeriod = -sec(1); }, "scalePeriod");
     rejects([](Cfg &c) { c.fabricHop = 0; }, "fabricHop");
+    rejects([](Cfg &c) { c.maxConcurrencyPerFunction = -1; },
+            "maxConcurrencyPerFunction");
+    rejects([](Cfg &c) { c.maxColdStartRetries = -1; },
+            "maxColdStartRetries");
 }
 
 } // namespace

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cluster.hh"
 #include "cluster/control_policy.hh"
 #include "cluster/parallel_fleet.hh"
 #include "cluster/traffic.hh"
@@ -273,26 +272,36 @@ TEST(PreWarm, UnservedPreWarmIsCountedWasted)
 
 // ----------------------------------------- cluster-level bit identity
 
-struct ClusterRun
+struct FleetRun
 {
     std::int64_t invocations = 0;
     std::int64_t coldStarts = 0;
     std::int64_t warmHits = 0;
-    std::int64_t events = 0;
+    std::int64_t messages = 0;
     std::vector<double> e2e;
+
+    /** Digest of every simulated observable: the kernel's own
+     * event and window counts (a policy's tick events) left out. */
     std::uint64_t digest = 0;
 };
 
-ClusterRun
-runTrafficCluster(bool dormant_policy)
+FleetRun
+runTrafficFleet(bool dormant_policy)
 {
-    Simulation sim;
-    cluster::ClusterConfig cfg;
+    cluster::ParallelFleetConfig cfg;
     cfg.workers = 2;
     cfg.coldStartMode = ColdStartMode::TieredReap;
     cfg.sharedSnapshots = true;
     cfg.keepAlive = sec(15);
-    cluster::Cluster c(sim, cfg);
+    cluster::TrafficConfig tcfg;
+    tcfg.functions = 6;
+    tcfg.tenants = 2;
+    tcfg.aggregateRps = 0.5;
+    tcfg.horizon = sec(150);
+    cfg.traffic = tcfg;
+    if (dormant_policy)
+        cfg.controlPolicy = cluster::ControlPolicyKind::HybridHistogram;
+    cluster::ParallelFleet c(cfg);
     if (dormant_policy) {
         // A policy that observes every tick but never acts must leave
         // the simulation bit-identical to running no policy at all
@@ -300,91 +309,128 @@ runTrafficCluster(bool dormant_policy)
         c.controlPolicies().registerPolicy(
             cluster::ControlPolicyKind::HybridHistogram,
             std::make_unique<cluster::NoControlPolicy>());
-        c.setControlPolicy(cluster::ControlPolicyKind::HybridHistogram);
     }
 
-    cluster::TrafficConfig tcfg;
-    tcfg.functions = 6;
-    tcfg.tenants = 2;
-    tcfg.aggregateRps = 0.5;
-    tcfg.horizon = sec(150);
-    cluster::TrafficWorkload workload(sim, c, tcfg);
-
-    ClusterRun r;
-    cluster::FleetStats wr;
-    runScenario(sim, [&]() -> Task<void> {
-        wr = co_await workload.run();
-    });
+    cluster::FleetStats wr = c.run();
+    FleetRun r;
     r.invocations = wr.invocations;
     r.coldStarts = wr.coldStarts;
     r.warmHits = wr.warmHits;
-    r.events = sim.eventsProcessed();
+    r.messages = wr.messages;
     r.e2e = wr.e2eLatencyMs.values();
+    wr.eventsProcessed = 0;
+    wr.windows = 0;
     r.digest = wr.digest();
     return r;
 }
 
-TEST(ControlCluster, DormantPolicyBitIdenticalToNoPolicy)
+TEST(ControlFleet, DormantPolicyBitIdenticalToNoPolicy)
 {
-    ClusterRun base = runTrafficCluster(false);
-    ClusterRun dormant = runTrafficCluster(true);
+    FleetRun base = runTrafficFleet(false);
+    FleetRun dormant = runTrafficFleet(true);
 
     ASSERT_GT(base.invocations, 5);
     EXPECT_EQ(base.invocations, dormant.invocations);
     EXPECT_EQ(base.coldStarts, dormant.coldStarts);
     EXPECT_EQ(base.warmHits, dormant.warmHits);
-    EXPECT_EQ(base.events, dormant.events);
-    ASSERT_EQ(base.e2e.size(), dormant.e2e.size());
-    for (std::size_t i = 0; i < base.e2e.size(); ++i)
-        EXPECT_EQ(base.e2e[i], dormant.e2e[i]) << "sample " << i;
+    // The ticks send nothing: no request, no hint.
+    EXPECT_EQ(base.messages, dormant.messages);
+    EXPECT_EQ(base.e2e, dormant.e2e);
     // Every fleet counter, not only the samples: memory bill,
     // per-worker rows, store and registry counters.
     EXPECT_EQ(base.digest, dormant.digest);
 }
 
-TEST(ControlCluster, ActivePolicyPreWarmsAndCutsColds)
+TEST(ControlFleet, ActivePolicyPreWarmsAndCutsColds)
 {
     auto run = [](cluster::ControlPolicyKind policy) {
-        Simulation sim;
-        cluster::ClusterConfig cfg;
+        cluster::ParallelFleetConfig cfg;
         cfg.workers = 2;
         cfg.coldStartMode = ColdStartMode::TieredReap;
         cfg.sharedSnapshots = true;
         cfg.keepAlive = sec(15);
         cfg.routingPolicy = cluster::RoutingPolicyKind::LocalityHash;
         cfg.controlPolicy = policy;
-        cluster::Cluster c(sim, cfg);
-
         cluster::TrafficConfig tcfg;
         tcfg.functions = 8;
         tcfg.tenants = 2;
         tcfg.aggregateRps = 0.4;
         tcfg.horizon = sec(240);
-        cluster::TrafficWorkload workload(sim, c, tcfg);
-        cluster::FleetStats wr;
-        runScenario(sim, [&]() -> Task<void> {
-            wr = co_await workload.run();
-        });
-        cluster::FleetStats fs = c.fleetStats();
-        EXPECT_EQ(wr.coldStarts + wr.warmHits + wr.failedInvocations,
-                  wr.invocations);
-        return std::pair<std::int64_t, cluster::FleetStats>(
-            wr.coldStarts, fs);
+        cfg.traffic = tcfg;
+        cluster::ParallelFleet c(cfg);
+        cluster::FleetStats fs = c.run();
+        EXPECT_EQ(fs.coldStarts + fs.warmHits + fs.failedInvocations,
+                  fs.invocations);
+        return fs;
     };
 
-    auto [cold_none, fs_none] =
-        run(cluster::ControlPolicyKind::None);
-    auto [cold_hybrid, fs_hybrid] =
+    cluster::FleetStats fs_none = run(cluster::ControlPolicyKind::None);
+    cluster::FleetStats fs_hybrid =
         run(cluster::ControlPolicyKind::HybridHistogram);
 
     EXPECT_EQ(fs_none.preWarms, 0);
     EXPECT_GT(fs_hybrid.preWarms, 0);
     EXPECT_GT(fs_hybrid.preWarmHits, 0);
     // The point of the layer: pre-warming converts cold starts.
-    EXPECT_LT(cold_hybrid, cold_none);
+    EXPECT_LT(fs_hybrid.coldStarts, fs_none.coldStarts);
     // And the waste accounting runs: an always-on fleet integrates
     // idle-warm byte-seconds under either policy.
     EXPECT_GT(fs_hybrid.wastedResidentByteSec, 0.0);
+}
+
+/** Emits one positive ScaleHint per tick: cold p99 is "over target". */
+class AlwaysHoldPolicy final : public cluster::ControlPolicy
+{
+  public:
+    const char *name() const override { return "always-hold"; }
+    void noteArrival(const std::string &, Time) override {}
+    void tick(const cluster::ControlTickContext &,
+              std::vector<cluster::ControlAction> &out) override
+    {
+        cluster::ControlAction a;
+        a.kind = cluster::ControlAction::Kind::ScaleHint;
+        a.hint = 2;
+        out.push_back(a);
+    }
+};
+
+TEST(ControlFleet, ScaleHintHoldsJanitorSweeps)
+{
+    // A ScaleHint travels to every worker and parks its keep-alive
+    // sweeps: the idle instance outlives keepAlive while hints keep
+    // arriving, and scales to zero without them.
+    auto run = [](bool hold) {
+        cluster::ParallelFleetConfig cfg;
+        cfg.workers = 2;
+        cfg.coldStartMode = ColdStartMode::Reap;
+        cfg.keepAlive = sec(5);
+        cfg.scalePeriod = sec(1);
+        cfg.controlPolicy = cluster::ControlPolicyKind::HybridHistogram;
+        cluster::ParallelFleet fleet(cfg);
+        // Both runs tick; only the held one ever acts.
+        std::unique_ptr<cluster::ControlPolicy> policy;
+        if (hold)
+            policy = std::make_unique<AlwaysHoldPolicy>();
+        else
+            policy = std::make_unique<cluster::NoControlPolicy>();
+        fleet.controlPolicies().registerPolicy(
+            cluster::ControlPolicyKind::HybridHistogram, std::move(policy));
+        std::int64_t idle = -1;
+        (void)fleet.run(
+            {func::profileByName("helloworld")},
+            [&idle](cluster::FleetClient &c) -> Task<void> {
+                (void)co_await c.invoke("helloworld");
+                co_await c.sim().delay(sec(60));
+                idle = c.idleInstances("helloworld");
+            });
+        return std::pair{fleet.stats("helloworld").scaleDowns, idle};
+    };
+    auto [free_downs, free_idle] = run(false);
+    EXPECT_EQ(free_downs, 1);
+    EXPECT_EQ(free_idle, 0);
+    auto [held_downs, held_idle] = run(true);
+    EXPECT_EQ(held_downs, 0);
+    EXPECT_EQ(held_idle, 1);
 }
 
 // --------------------------------------------------- parallel kernel
@@ -437,9 +483,9 @@ TEST(ControlParallel, ActivePolicyDigestStableAcrossThreadCounts)
 TEST(ControlParallel, WastedPreWarmsReportedAcrossThreadCounts)
 {
     // Pre-warms for arrivals that never come retire unused when the
-    // keep-alive sweep reaps them. The parallel engine reports them
-    // through the fold it shares with Cluster, and its digest covers
-    // them, identically on every sim thread count.
+    // keep-alive sweep reaps them. The fleet reports them through
+    // its per-worker fold, and its digest covers them, identically on
+    // every sim thread count.
     auto run_fleet = [](int threads) {
         cluster::ParallelFleetConfig cfg;
         cfg.workers = 4;

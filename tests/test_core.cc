@@ -14,6 +14,7 @@
 #include "core/ws_file.hh"
 #include "func/profile.hh"
 #include "sim/simulation.hh"
+#include "sim/sync.hh"
 #include "sim/task.hh"
 #include "util/units.hh"
 
@@ -634,6 +635,60 @@ TEST(Orchestrator, StopAllReclaimsManyInstances)
                                        ColdStartMode::Reap, Opts{});
         EXPECT_TRUE(bd.cold);
     });
+}
+
+TEST(Orchestrator, WarmInvokeDuringShutdownHandshakeStartsCold)
+{
+    // An idle instance's stop suspends in the uffd shutdown handshake.
+    // A warm invocation arriving meanwhile must not claim the instance
+    // being torn down: the handshake would then erase a busy instance
+    // under the running invocation.
+    Simulation sim;
+    Worker w(sim);
+    LatencyBreakdown during;
+    std::int64_t stopped = -1;
+    runScenario(w, sim, [&](Orchestrator &orch) -> Task<void> {
+        orch.registerFunction(func::profileByName("helloworld"));
+        co_await orch.prepareSnapshot("helloworld");
+        (void)co_await orch.invoke("helloworld", ColdStartMode::Reap,
+                                   Opts{}); // record phase
+        Opts keep;
+        keep.keepWarm = true;
+        (void)co_await orch.invoke("helloworld", ColdStartMode::Reap,
+                                   keep);
+        EXPECT_EQ(orch.idleInstanceCount("helloworld"), 1);
+
+        struct Stopper {
+            static Task<void>
+            run(Orchestrator &o, std::int64_t *out, sim::Latch *done)
+            {
+                *out = co_await o.stopIdleInstances("helloworld");
+                done->arrive();
+            }
+        };
+        struct Invoker {
+            static Task<void>
+            run(Orchestrator &o, LatencyBreakdown *out, sim::Latch *done)
+            {
+                Opts k;
+                k.keepWarm = true;
+                *out = co_await o.invoke("helloworld",
+                                         ColdStartMode::Reap, k);
+                done->arrive();
+            }
+        };
+        sim::Latch done(sim, 2);
+        // Same instant, stopper first: the invoke lands while the
+        // stop is suspended in the handshake.
+        sim.spawn(Stopper::run(orch, &stopped, &done));
+        sim.spawn(Invoker::run(orch, &during, &done));
+        co_await done.wait();
+        EXPECT_EQ(orch.instanceCount("helloworld"), 1);
+        EXPECT_EQ(orch.idleInstanceCount("helloworld"), 1);
+        co_await orch.stopAllInstances("helloworld");
+    });
+    EXPECT_EQ(stopped, 1);
+    EXPECT_TRUE(during.cold); // the stopping instance was not reused
 }
 
 TEST(Orchestrator, OverlapAblationReducesLatency)

@@ -12,8 +12,9 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
-#include "cluster/cluster.hh"
+#include "cluster/parallel_fleet.hh"
 #include "cluster/routing_policy.hh"
 #include "core/options.hh"
 #include "core/worker.hh"
@@ -372,24 +373,22 @@ TEST(DedupReap, StagingDedupsAcrossFunctionsOnOneWorker)
 
 TEST(DedupReap, FleetSharedStagingCountsDedupInFleetStats)
 {
-    Simulation sim;
-    cluster::ClusterConfig cfg;
+    cluster::ParallelFleetConfig cfg;
     cfg.workers = 4;
     cfg.coldStartMode = core::ColdStartMode::DedupReap;
     cfg.sharedSnapshots = true;
     cfg.keepAlive = sec(60);
-    cluster::Cluster c(sim, cfg);
-    c.deploy(func::profileByName("helloworld"));
-    c.deploy(func::profileByName("pyaes"));
-    c.deploy(func::profileByName("json_serdes"));
+    cluster::ParallelFleet fleet(cfg);
+    const char *fns[] = {"helloworld", "pyaes", "json_serdes"};
+    std::vector<func::FunctionProfile> profiles;
+    for (const char *fn : fns)
+        profiles.push_back(func::profileByName(fn));
 
-    runScenario(sim, [&]() -> Task<void> {
-        co_await c.prepareAllSnapshots();
-        for (const char *fn : {"helloworld", "pyaes", "json_serdes"})
-            (void)co_await c.invoke(fn);
-    });
-
-    auto fs = c.fleetStats();
+    auto fs = fleet.run(profiles,
+                        [&fns](cluster::FleetClient &c) -> Task<void> {
+                            for (const char *fn : fns)
+                                (void)co_await c.invoke(fn);
+                        });
     EXPECT_GT(fs.chunkLogicalBytes, 0);
     EXPECT_GT(fs.chunkStoredBytes, 0);
     EXPECT_GT(fs.dedupSavedBytes, 0); // cross-function chunks

@@ -15,8 +15,8 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
-#include "cluster/cluster.hh"
 #include "cluster/parallel_fleet.hh"
 #include "core/options.hh"
 #include "core/worker.hh"
@@ -354,32 +354,66 @@ TEST(DeltaRestage, MovesExactlyTheChangedChunkSet)
               static_cast<std::int64_t>(newSet.size()));
 }
 
-TEST(DeltaRestage, ClusterRestageMovesOnlyChangedBytes)
+cluster::ParallelFleetConfig
+sharedDedupConfig(int workers)
 {
-    Simulation sim;
-    cluster::ClusterConfig cfg;
-    cfg.workers = 4;
+    cluster::ParallelFleetConfig cfg;
+    cfg.workers = workers;
     cfg.coldStartMode = core::ColdStartMode::DedupReap;
     cfg.sharedSnapshots = true;
     cfg.keepAlive = sec(60);
-    cluster::Cluster c(sim, cfg);
-    c.deploy(func::profileByName("helloworld"));
-    c.deploy(func::profileByName("pyaes"));
+    return cfg;
+}
 
-    cluster::FleetStats before, after;
-    runScenario(sim, [&]() -> Task<void> {
-        co_await c.prepareAllSnapshots();
-        for (const char *fn : {"helloworld", "pyaes"})
-            (void)co_await c.invoke(fn);
-        before = c.fleetStats();
-        co_await c.restageFunction("helloworld");
-        after = c.fleetStats();
-        // The restaged function still serves everywhere.
-        (void)co_await c.invoke("helloworld");
-    });
+std::vector<func::FunctionProfile>
+profilesOf(std::initializer_list<const char *> names)
+{
+    std::vector<func::FunctionProfile> out;
+    for (const char *n : names)
+        out.push_back(func::profileByName(n));
+    return out;
+}
+
+/** One invocation of each of @p fns, then @p then. */
+template <typename Then>
+cluster::FleetStats
+invokeEachThen(cluster::ParallelFleetConfig cfg,
+               std::vector<std::string> fns, Then then)
+{
+    std::vector<func::FunctionProfile> profiles;
+    for (const std::string &fn : fns)
+        profiles.push_back(func::profileByName(fn));
+    cluster::ParallelFleet fleet(cfg);
+    return fleet.run(std::move(profiles),
+                     [&](cluster::FleetClient &c) -> Task<void> {
+                         for (const std::string &fn : fns)
+                             (void)co_await c.invoke(fn);
+                         co_await then(c);
+                     });
+}
+
+Task<void>
+noMore(cluster::FleetClient &)
+{
+    co_return;
+}
+
+TEST(DeltaRestage, FleetRestageMovesOnlyChangedBytes)
+{
+    const std::vector<std::string> fns = {"helloworld", "pyaes"};
+    cluster::FleetStats before =
+        invokeEachThen(sharedDedupConfig(4), fns, noMore);
+    cluster::FleetStats after = invokeEachThen(
+        sharedDedupConfig(4), fns,
+        [](cluster::FleetClient &c) -> Task<void> {
+            co_await c.restage("helloworld");
+            // The restaged function still serves.
+            (void)co_await c.invoke("helloworld");
+        });
 
     EXPECT_EQ(before.restages, 0);
     EXPECT_EQ(after.restages, 1);
+    EXPECT_EQ(after.invocations, 3);
     EXPECT_GT(after.deltaChunksUploaded, 0);
     // Delta uploads moved strictly fewer chunks than the function's
     // full manifest set (which the initial staging uploaded).
@@ -391,30 +425,24 @@ TEST(DeltaRestage, ClusterRestageMovesOnlyChangedBytes)
 
 // --------------------------------------------------- fleet-wide GC
 
+Task<void>
+retireAll(cluster::FleetClient &c, std::vector<std::string> fns)
+{
+    for (const std::string &fn : fns)
+        co_await c.retire(fn);
+}
+
 TEST(FleetGC, RetireReleasesEveryStagedByte)
 {
-    Simulation sim;
-    cluster::ClusterConfig cfg;
-    cfg.workers = 4;
-    cfg.coldStartMode = core::ColdStartMode::DedupReap;
-    cfg.sharedSnapshots = true;
-    cfg.keepAlive = sec(60);
-    cluster::Cluster c(sim, cfg);
-    const char *fns[] = {"helloworld", "pyaes", "json_serdes"};
-    for (const char *fn : fns)
-        c.deploy(func::profileByName(fn));
-
-    cluster::FleetStats mid, end;
-    runScenario(sim, [&]() -> Task<void> {
-        co_await c.prepareAllSnapshots();
-        for (const char *fn : fns)
-            (void)co_await c.invoke(fn);
-        co_await c.retireFunction("helloworld");
-        mid = c.fleetStats();
-        for (const char *fn : {"pyaes", "json_serdes"})
-            co_await c.retireFunction(fn);
-        end = c.fleetStats();
-    });
+    const std::vector<std::string> fns = {"helloworld", "pyaes",
+                                          "json_serdes"};
+    cluster::FleetStats mid = invokeEachThen(
+        sharedDedupConfig(4), fns, [](cluster::FleetClient &c) {
+            return retireAll(c, {"helloworld"});
+        });
+    cluster::FleetStats end = invokeEachThen(
+        sharedDedupConfig(4), fns,
+        [&fns](cluster::FleetClient &c) { return retireAll(c, fns); });
 
     // Retiring one of three functions frees its exclusive chunks but
     // keeps every chunk another function still references.
@@ -432,17 +460,29 @@ TEST(FleetGC, RetireReleasesEveryStagedByte)
 
 // ------------------------------------------------ chaos interaction
 
+/** When the script of a fleet of @p cfg deploying @p profiles starts
+ * (staging and adoption are deterministic). */
+Time
+readyAt(const cluster::ParallelFleetConfig &cfg,
+        std::vector<func::FunctionProfile> profiles)
+{
+    Time t = -1;
+    cluster::ParallelFleet f(cfg);
+    (void)f.run(std::move(profiles),
+                [&t](cluster::FleetClient &c) -> Task<void> {
+                    t = c.sim().now();
+                    co_return;
+                });
+    return t;
+}
+
 TEST(EconomicsChaos, BudgetedEvictionBalancesThroughStoreOutage)
 {
     // Store outages land mid-run while every budget is tight: the
     // accounting must still balance (no negative counts, budgets
     // honoured, inventory identity holds) and every invocation must
     // complete.
-    Simulation sim;
-    cluster::ClusterConfig cfg;
-    cfg.workers = 3;
-    cfg.coldStartMode = core::ColdStartMode::DedupReap;
-    cfg.sharedSnapshots = true;
+    cluster::ParallelFleetConfig cfg = sharedDedupConfig(3);
     cfg.keepAlive = sec(5);
     cfg.scalePeriod = sec(1);
     cfg.worker.reap.pageCacheBudget = 2 * kMiB;
@@ -452,47 +492,41 @@ TEST(EconomicsChaos, BudgetedEvictionBalancesThroughStoreOutage)
     // traffic to land on.
     cfg.worker.reap.ssdBudget = 8 * kMiB;
     cfg.registryChunkBudget = 8 * kMiB;
-    cluster::Cluster c(sim, cfg);
-    sim::FaultPlan plan(11);
-    const char *fns[] = {"helloworld", "pyaes", "json_serdes"};
-    for (const char *fn : fns)
-        c.deploy(func::profileByName(fn));
+    const auto profiles = profilesOf({"helloworld", "pyaes", "json_serdes"});
+
+    // Outage windows sit relative to the post-staging clock so they
+    // land mid-round, while budget pressure is refetching evicted
+    // chunks (the keep-alive janitor expires instances between
+    // rounds, so cold starts keep reaching the store).
+    Time base = readyAt(cfg, profiles);
+    sim::FaultSpec s;
+    s.kind = sim::FaultKind::StoreOutage;
+    s.target = "store/*";
+    s.windows.push_back(
+        sim::FaultWindow{base + sec(18), base + sec(26), 1.0, 1.0});
+    s.windows.push_back(
+        sim::FaultWindow{base + sec(58), base + sec(64), 1.0, 1.0});
+    cfg.storeFaults.push_back(s);
+    cfg.faultSeed = 11;
+    cluster::ParallelFleet c(cfg);
 
     std::int64_t served = 0;
-    runScenario(sim, [&]() -> Task<void> {
-        co_await c.prepareAllSnapshots();
-        // Outage windows sit relative to the post-staging clock so
-        // they land mid-round, while budget pressure is refetching
-        // evicted chunks.
-        Time base = sim.now();
-        sim::FaultSpec s;
-        s.kind = sim::FaultKind::StoreOutage;
-        s.target = "store/*";
-        s.windows.push_back(
-            sim::FaultWindow{base + sec(18), base + sec(26), 1.0, 1.0});
-        s.windows.push_back(
-            sim::FaultWindow{base + sec(58), base + sec(64), 1.0, 1.0});
-        plan.add(s);
-        c.installFaultPlan(&plan);
-        // The janitor is what expires keep-alive instances; without
-        // it every post-staging invocation lands warm and the outage
-        // has no cold-start store traffic to stall.
-        c.startAutoscaler();
+    auto fs = c.run(profiles, [&](cluster::FleetClient &client)
+                                  -> Task<void> {
         for (int round = 0; round < 8; ++round) {
-            for (const char *fn : fns) {
-                (void)co_await c.invoke(fn);
+            for (const auto &p : profiles) {
+                (void)co_await client.invoke(p.name);
                 ++served;
             }
-            co_await sim.delay(sec(10));
+            co_await client.sim().delay(sec(10));
         }
-        c.stopAutoscaler();
-        co_await c.restageFunction("pyaes");
-        (void)co_await c.invoke("pyaes");
+        co_await client.restage("pyaes");
+        (void)co_await client.invoke("pyaes");
         ++served;
     });
     EXPECT_EQ(served, 25);
+    EXPECT_EQ(fs.invocations, 25);
 
-    auto fs = c.fleetStats();
     EXPECT_GT(fs.store.outageStalls, 0) << "outages must have landed";
     for (int w = 0; w < cfg.workers; ++w) {
         auto &orch = c.worker(w).orchestrator();

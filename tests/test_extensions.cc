@@ -10,13 +10,14 @@
 #include <gtest/gtest.h>
 
 #include "cluster/azure_workload.hh"
-#include "cluster/cluster.hh"
+#include "cluster/parallel_fleet.hh"
 #include "core/loader/loader.hh"
 #include "core/options.hh"
 #include "core/worker.hh"
 #include "func/profile.hh"
 #include "net/object_store.hh"
 #include "sim/simulation.hh"
+#include "sim/sync.hh"
 #include "sim/task.hh"
 #include "storage/disk.hh"
 #include "util/table.hh"
@@ -529,60 +530,52 @@ TEST(Rerandomize, AddsInstallCostButPreservesWin)
     EXPECT_LT(secured.reap_total, secured.vanilla_total / 2);
 }
 
+/** A one-worker fleet's result after @p invocations of helloworld. */
+cluster::FleetStats
+helloFleet(cluster::ParallelFleetConfig cfg, int invocations)
+{
+    cluster::ParallelFleet fleet(cfg);
+    return fleet.run({func::profileByName("helloworld")},
+                     [&](cluster::FleetClient &c) -> Task<void> {
+                         for (int i = 0; i < invocations; ++i)
+                             (void)co_await c.invoke("helloworld");
+                     });
+}
+
 TEST(MemoryAccounting, ResidentBytesTracksInstances)
 {
-    Simulation sim;
-    cluster::ClusterConfig cfg;
+    cluster::ParallelFleetConfig cfg;
     cfg.workers = 1;
-    cluster::Cluster c(sim, cfg);
-    c.deploy(func::profileByName("helloworld"));
-    runScenario(sim, [&]() -> Task<void> {
-        co_await c.prepareAllSnapshots();
-        EXPECT_EQ(c.fleetStats().residentBytes, 0);
-        (void)co_await c.invoke("helloworld");
-        EXPECT_GT(c.fleetStats().residentBytes, 8 * kMiB);
-        EXPECT_LT(c.fleetStats().residentBytes, 40 * kMiB);
-    });
+    // Staged and recorded, but no instance kept: nothing resident.
+    EXPECT_EQ(helloFleet(cfg, 0).residentBytes, 0);
+    // One kept-warm instance holds its working set.
+    cluster::FleetStats one = helloFleet(cfg, 1);
+    EXPECT_GT(one.residentBytes, 8 * kMiB);
+    EXPECT_LT(one.residentBytes, 40 * kMiB);
 }
 
-TEST(MemoryAccounting, ResetStatsClearsCounters)
+cluster::ParallelFleetConfig
+azureFleet(int functions, Duration min_gap, Duration max_gap,
+           Duration horizon)
 {
-    Simulation sim;
-    cluster::ClusterConfig cfg;
+    cluster::ParallelFleetConfig cfg;
     cfg.workers = 1;
-    cluster::Cluster c(sim, cfg);
-    c.deploy(func::profileByName("helloworld"));
-    runScenario(sim, [&]() -> Task<void> {
-        co_await c.prepareAllSnapshots();
-        (void)co_await c.invoke("helloworld");
-        EXPECT_EQ(c.stats("helloworld").coldStarts, 1);
-        c.resetStats();
-        EXPECT_EQ(c.stats("helloworld").coldStarts, 0);
-        EXPECT_EQ(c.stats("helloworld").e2eLatencyMs.count(), 0);
-    });
+    cfg.workload.functions = functions;
+    cfg.workload.minInterarrival = min_gap;
+    cfg.workload.maxInterarrival = max_gap;
+    cfg.workload.horizon = horizon;
+    return cfg;
 }
 
-TEST(AzureWorkload, RunsAndAccounts)
+TEST(AzureMix, RunsAndAccounts)
 {
-    Simulation sim;
-    cluster::ClusterConfig ccfg;
-    ccfg.workers = 1;
-    ccfg.keepAlive = sec(120);
-    ccfg.coldStartMode = ColdStartMode::Reap;
-    cluster::Cluster c(sim, ccfg);
-
-    cluster::AzureWorkloadConfig wcfg;
-    wcfg.functions = 4;
-    wcfg.minInterarrival = sec(5);
-    wcfg.maxInterarrival = sec(40);
-    wcfg.horizon = sec(240);
-    cluster::AzureWorkload workload(sim, c, wcfg);
-    ASSERT_EQ(workload.functionNames().size(), 4u);
-
-    cluster::FleetStats result;
-    runScenario(sim, [&]() -> Task<void> {
-        result = co_await workload.run();
-    });
+    cluster::ParallelFleetConfig cfg =
+        azureFleet(4, sec(5), sec(40), sec(240));
+    cfg.keepAlive = sec(120);
+    cfg.coldStartMode = ColdStartMode::Reap;
+    cluster::ParallelFleet fleet(cfg);
+    ASSERT_EQ(fleet.workloadProfiles().size(), 4u);
+    cluster::FleetStats result = fleet.run();
 
     EXPECT_GT(result.invocations, 5);
     EXPECT_EQ(result.coldStarts + result.warmHits,
@@ -595,62 +588,54 @@ TEST(AzureWorkload, RunsAndAccounts)
     EXPECT_LT(result.e2eLatencyMs.max(), 400.0);
 }
 
-TEST(AzureWorkload, DeterministicAcrossRuns)
+TEST(AzureMix, DeterministicAcrossRuns)
 {
     auto run_once = [] {
-        Simulation sim;
-        cluster::ClusterConfig ccfg;
-        ccfg.workers = 1;
-        cluster::Cluster c(sim, ccfg);
-        cluster::AzureWorkloadConfig wcfg;
-        wcfg.functions = 3;
-        wcfg.minInterarrival = sec(5);
-        wcfg.maxInterarrival = sec(30);
-        wcfg.horizon = sec(120);
-        cluster::AzureWorkload w(sim, c, wcfg);
-        cluster::FleetStats result;
-        runScenario(sim, [&]() -> Task<void> {
-            result = co_await w.run();
-        });
-        return result;
+        return cluster::ParallelFleet(
+                   azureFleet(3, sec(5), sec(30), sec(120)))
+            .run();
     };
     auto a = run_once();
     auto b = run_once();
+    EXPECT_GT(a.invocations, 0);
     EXPECT_EQ(a.invocations, b.invocations);
     EXPECT_EQ(a.coldStarts, b.coldStarts);
     EXPECT_DOUBLE_EQ(a.e2eLatencyMs.sum(), b.e2eLatencyMs.sum());
+    EXPECT_EQ(a.digest(), b.digest());
 }
 
+Task<void>
+helloBurst(cluster::FleetClient &c, int n)
+{
+    struct Arrival {
+        static Task<void>
+        run(cluster::FleetClient &c, sim::Latch *done)
+        {
+            (void)co_await c.invoke("helloworld");
+            done->arrive();
+        }
+    };
+    sim::Latch done(c.sim(), n);
+    for (int i = 0; i < n; ++i)
+        c.sim().spawn(Arrival::run(c, &done));
+    co_await done.wait();
+}
 
 TEST(QueueProxy, BoundsConcurrencyAndQueues)
 {
-    Simulation sim;
-    cluster::ClusterConfig cfg;
+    cluster::ParallelFleetConfig cfg;
     cfg.workers = 1;
     cfg.maxConcurrencyPerFunction = 2;
-    cluster::Cluster c(sim, cfg);
-    c.deploy(func::profileByName("helloworld"));
-    runScenario(sim, [&]() -> Task<void> {
-        co_await c.prepareAllSnapshots();
-        // Warm-up + record so later colds are fast REAP starts.
-        (void)co_await c.invoke("helloworld");
-
-        struct Arrival {
-            static Task<void>
-            run(cluster::Cluster &c, sim::Latch *done)
-            {
-                (void)co_await c.invoke("helloworld");
-                done->arrive();
-            }
-        };
-        sim::Latch done(sim, 6);
-        for (int i = 0; i < 6; ++i)
-            sim.spawn(Arrival::run(c, &done));
-        co_await done.wait();
-        // At most the concurrency limit of instances ever existed.
-        EXPECT_LE(c.instanceCount("helloworld"), 2);
-    });
-    const auto &st = c.stats("helloworld");
+    cluster::ParallelFleet fleet(cfg);
+    (void)fleet.run({func::profileByName("helloworld")},
+                    [](cluster::FleetClient &c) -> Task<void> {
+                        (void)co_await c.invoke("helloworld");
+                        co_await helloBurst(c, 6);
+                    });
+    // At most the concurrency limit of instances ever existed.
+    EXPECT_LE(fleet.worker(0).orchestrator().instanceCount("helloworld"),
+              2);
+    const auto &st = fleet.stats("helloworld");
     // Some arrivals had to queue behind the two in-flight slots.
     EXPECT_GT(st.queueDelayMs.max(), 0.0);
     EXPECT_EQ(st.queueDelayMs.count(), 7); // all admissions sampled
@@ -658,16 +643,17 @@ TEST(QueueProxy, BoundsConcurrencyAndQueues)
 
 TEST(QueueProxy, UnlimitedModeNeverQueues)
 {
-    Simulation sim;
-    cluster::ClusterConfig cfg;
+    cluster::ParallelFleetConfig cfg; // default: unlimited
     cfg.workers = 1;
-    cluster::Cluster c(sim, cfg); // default: unlimited
-    c.deploy(func::profileByName("helloworld"));
-    runScenario(sim, [&]() -> Task<void> {
-        co_await c.prepareAllSnapshots();
-        (void)co_await c.invoke("helloworld");
-    });
-    EXPECT_EQ(c.stats("helloworld").queueDelayMs.count(), 0);
+    cluster::ParallelFleet fleet(cfg);
+    (void)fleet.run({func::profileByName("helloworld")},
+                    [](cluster::FleetClient &c) {
+                        return helloBurst(c, 6);
+                    });
+    EXPECT_EQ(fleet.stats("helloworld").queueDelayMs.count(), 0);
+    // Nothing held the burst back: it scaled out to six instances.
+    EXPECT_EQ(fleet.worker(0).orchestrator().instanceCount("helloworld"),
+              6);
 }
 
 TEST(MemoryCapacity, EvictsLruIdleInstance)

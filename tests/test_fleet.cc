@@ -1,22 +1,24 @@
 /**
  * @file
  * Fleet-control-plane tests: shared snapshot staging through the
- * SnapshotRegistry (build-once, stage-once, remote fan-out), routing
- * policy registry dispatch and placement behaviour, fleet-wide stats
- * aggregation, and the autoscaler scale-down / in-flight invocation
- * race.
+ * SnapshotRegistry (build-once, stage-once, remote fan-out and fetch
+ * fan-in), routing policy registry dispatch and placement behaviour,
+ * fleet-wide stats aggregation, and the autoscaler scale-down /
+ * in-flight invocation race.
  */
 
 #include <gtest/gtest.h>
 
-#include <set>
-
 #include "cluster/azure_workload.hh"
-#include "cluster/cluster.hh"
+#include "cluster/parallel_fleet.hh"
 #include "cluster/routing_policy.hh"
 #include "cluster/snapshot_registry.hh"
+#include "core/worker.hh"
+#include "fleet_script.hh"
 #include "func/profile.hh"
+#include "net/object_store.hh"
 #include "sim/simulation.hh"
+#include "sim/sync.hh"
 #include "sim/task.hh"
 #include "util/units.hh"
 
@@ -25,11 +27,12 @@ namespace {
 
 using sim::Simulation;
 using sim::Task;
+using testing::profilesOf;
 
-ClusterConfig
+ParallelFleetConfig
 sharedConfig(int workers)
 {
-    ClusterConfig cfg;
+    ParallelFleetConfig cfg;
     cfg.workers = workers;
     cfg.coldStartMode = core::ColdStartMode::TieredReap;
     cfg.sharedSnapshots = true;
@@ -38,149 +41,130 @@ sharedConfig(int workers)
     return cfg;
 }
 
-template <typename Fn>
-void
-runScenario(Simulation &sim, Fn &&body)
+/** A script that only lets staging and adoption run. */
+Task<void>
+stageOnly(FleetClient &)
 {
-    struct Runner {
-        static Task<void>
-        run(Fn &body)
-        {
-            co_await body();
-        }
-    };
-    sim.spawn(Runner::run(body));
-    sim.run();
+    co_return;
 }
 
 std::int64_t
-fleetSnapshotBuilds(Cluster &c)
+fleetSnapshotBuilds(ParallelFleet &f)
 {
     std::int64_t n = 0;
-    for (int i = 0; i < c.workerCount(); ++i)
-        n += c.worker(i).orchestrator().snapshotBuilds();
+    for (int i = 0; i < f.config().workers; ++i)
+        n += f.worker(i).orchestrator().snapshotBuilds();
     return n;
 }
 
 TEST(SnapshotRegistry, BuildsOncePerFunctionRegardlessOfWorkers)
 {
     for (int workers : {1, 4}) {
-        Simulation sim;
-        Cluster c(sim, sharedConfig(workers));
-        c.deploy(func::profileByName("helloworld"));
-        c.deploy(func::profileByName("pyaes"));
-        runScenario(sim, [&]() -> Task<void> {
-            co_await c.prepareAllSnapshots();
-        });
+        ParallelFleet f(sharedConfig(workers));
+        (void)f.run(profilesOf({"helloworld", "pyaes"}), stageOnly);
         // One build + one put per function, no matter the fleet size.
-        EXPECT_EQ(fleetSnapshotBuilds(c), 2) << workers << " workers";
-        EXPECT_EQ(c.snapshotRegistry()->totalBuilds(), 2);
-        EXPECT_EQ(c.sharedObjectStore()->stats().puts, 2);
-        EXPECT_GT(c.snapshotRegistry()->totalStagedBytes(), 0);
+        EXPECT_EQ(fleetSnapshotBuilds(f), 2) << workers << " workers";
+        EXPECT_EQ(f.snapshotRegistry()->totalBuilds(), 2);
+        EXPECT_EQ(f.sharedObjectStore()->stats().puts, 2);
+        EXPECT_GT(f.snapshotRegistry()->totalStagedBytes(), 0);
         // Every worker can cold-start both functions.
         for (int w = 0; w < workers; ++w) {
-            EXPECT_TRUE(c.worker(w).orchestrator().hasRecord(
+            EXPECT_TRUE(f.worker(w).orchestrator().hasRecord(
                 "helloworld"));
-            EXPECT_TRUE(
-                c.worker(w).orchestrator().hasRecord("pyaes"));
+            EXPECT_TRUE(f.worker(w).orchestrator().hasRecord("pyaes"));
         }
     }
 }
 
-TEST(SnapshotRegistry, StagesOnceUnderConcurrentPrepare)
+TEST(SnapshotRegistry, StagesOnceUnderConcurrentStage)
 {
+    // Single flight: concurrent stage() calls for one function share
+    // the first caller's pass instead of duplicating it.
     Simulation sim;
-    Cluster c(sim, sharedConfig(4));
-    c.deploy(func::profileByName("helloworld"));
-    c.deploy(func::profileByName("json_serdes"));
-    runScenario(sim, [&]() -> Task<void> {
-        struct Prep {
-            static Task<void>
-            run(Cluster &c, sim::Latch *done)
-            {
-                co_await c.prepareAllSnapshots();
-                done->arrive();
-            }
-        };
+    core::Worker home(sim);
+    net::ObjectStore store(sim, net::ObjectStoreParams::remote());
+    FleetConfig cfg;
+    cfg.workers = 4;
+    cfg.coldStartMode = core::ColdStartMode::TieredReap;
+    SnapshotRegistry reg(sim, store, cfg);
+    home.orchestrator().registerFunction(
+        func::profileByName("json_serdes"));
+
+    struct Stager {
+        static Task<void>
+        run(SnapshotRegistry &r, const StagePayload *p, sim::Latch *done)
+        {
+            co_await r.stage("json_serdes", *p);
+            done->arrive();
+        }
+    };
+    StagePayload payload;
+    sim.spawn([](Simulation &sim, core::Worker &home, SnapshotRegistry &reg,
+                 StagePayload &payload) -> Task<void> {
+        payload = co_await homeStagePayload(
+            home, "json_serdes", core::ColdStartMode::TieredReap);
         sim::Latch done(sim, 4);
         for (int i = 0; i < 4; ++i)
-            sim.spawn(Prep::run(c, &done));
+            sim.spawn(Stager::run(reg, &payload, &done));
         co_await done.wait();
-    });
-    EXPECT_EQ(c.snapshotRegistry()->totalBuilds(), 2);
-    EXPECT_EQ(fleetSnapshotBuilds(c), 2);
-    EXPECT_EQ(c.sharedObjectStore()->stats().puts, 2);
+    }(sim, home, reg, payload));
+    sim.run();
+
+    EXPECT_EQ(payload.builds, 1);
+    EXPECT_EQ(reg.totalBuilds(), 1);
+    EXPECT_EQ(store.stats().puts, 1);
+    EXPECT_TRUE(reg.isStaged("json_serdes"));
 }
 
-TEST(SnapshotRegistry, NonHomeWorkerColdStartsThroughRemoteTier)
+TEST(SnapshotRegistry, NonHomeWorkerColdStartsThroughRemoteTierOnce)
 {
-    Simulation sim;
-    Cluster c(sim, sharedConfig(2));
-    const auto &profile = func::profileByName("json_serdes");
-    c.deploy(profile);
-    runScenario(sim, [&]() -> Task<void> {
-        co_await c.prepareAllSnapshots();
-        int home = c.snapshotRegistry()->homeWorkerFor(profile.name);
-        int other = 1 - home;
-        auto &orch = c.worker(other).orchestrator();
-        EXPECT_FALSE(orch.artifactsLocal(profile.name));
-
-        core::InvokeOptions cold;
-        cold.forceCold = true;
-        auto bd = co_await orch.invoke(
-            profile.name, core::ColdStartMode::TieredReap, cold);
-        EXPECT_TRUE(bd.cold);
-        EXPECT_FALSE(bd.recordPhase); // adopted record, no re-record
-        Bytes remote_bytes = 0;
-        for (const auto &t : bd.tierHits)
-            if (t.tier == "remote")
-                remote_bytes = t.bytes;
-        EXPECT_GT(remote_bytes, 0);
-        // Admission re-localized the artifacts: the next cold start
-        // on this worker is served from the local tiers.
-        EXPECT_TRUE(orch.artifactsLocal(profile.name));
-        auto bd2 = co_await orch.invoke(
-            profile.name, core::ColdStartMode::TieredReap, cold);
-        for (const auto &t : bd2.tierHits) {
-            if (t.tier == "remote") {
-                EXPECT_EQ(t.bytes, 0);
-            }
-        }
-    });
+    // Least-loaded puts two simultaneous colds on both workers: the
+    // non-home one pulls the staged artifacts through the remote tier
+    // (adopted record, no re-record), and admission re-localizes them
+    // so its next cold start is served from the local tiers.
+    ParallelFleetConfig cfg = sharedConfig(2);
+    cfg.routingPolicy = RoutingPolicyKind::LeastLoaded;
+    cfg.keepAlive = sec(5);
+    ParallelFleet f(cfg);
+    const std::string name = "json_serdes";
+    FleetStats r = f.run(profilesOf({name}),
+                         [&](FleetClient &c) -> Task<void> {
+                             co_await testing::burst(c, name, 2);
+                             co_await c.sim().delay(sec(10));
+                             co_await testing::burst(c, name, 2);
+                         });
+    int home = f.snapshotRegistry()->homeWorkerFor(name);
+    int other = 1 - home;
+    EXPECT_EQ(r.coldStarts, 4);
+    EXPECT_TRUE(f.worker(other).orchestrator().artifactsLocal(name));
+    EXPECT_EQ(f.worker(other).orchestrator().stats(name).recordPhases, 0);
+    EXPECT_EQ(r.remoteArtifactFetches, 1);
+    EXPECT_EQ(r.fetchFanIn, 1);
+    Bytes remote_bytes = 0;
+    for (const auto &t : r.perWorker[static_cast<std::size_t>(other)]
+                             .tierHits)
+        if (t.tier == "remote")
+            remote_bytes = t.bytes;
+    EXPECT_GT(remote_bytes, 0);
 }
 
 TEST(SnapshotRegistry, TracksFetchFanInThroughFrontEnd)
 {
-    Simulation sim;
-    ClusterConfig cfg = sharedConfig(4);
+    ParallelFleetConfig cfg = sharedConfig(4);
     // Least-loaded spreads the concurrent colds across the fleet, so
     // several workers pull the one staged artifact.
     cfg.routingPolicy = RoutingPolicyKind::LeastLoaded;
-    Cluster c(sim, cfg);
-    const auto &profile = func::profileByName("helloworld");
-    c.deploy(profile);
-    runScenario(sim, [&]() -> Task<void> {
-        co_await c.prepareAllSnapshots();
-        struct Arrival {
-            static Task<void>
-            run(Cluster &c, std::string n, sim::Latch *done)
-            {
-                (void)co_await c.invoke(n);
-                done->arrive();
-            }
-        };
-        sim::Latch done(sim, 4);
-        for (int i = 0; i < 4; ++i)
-            sim.spawn(Arrival::run(c, profile.name, &done));
-        co_await done.wait();
-    });
-    const StagedArtifact &art =
-        c.snapshotRegistry()->artifact(profile.name);
+    ParallelFleet f(cfg);
+    const std::string name = "helloworld";
+    FleetStats fs = f.run(profilesOf({name}),
+                          [&](FleetClient &c) -> Task<void> {
+                              co_await testing::burst(c, name, 4);
+                          });
+    const StagedArtifact &art = f.snapshotRegistry()->artifact(name);
     // The home worker kept a local copy; the other three pulled it.
     EXPECT_EQ(art.builds, 1);
     EXPECT_EQ(art.fetchFanIn(), 3);
     EXPECT_GE(art.remoteFetches, 3);
-    FleetStats fs = c.fleetStats();
     EXPECT_EQ(fs.fetchFanIn, 3);
     EXPECT_EQ(fs.snapshotBuilds, 1);
 }
@@ -209,69 +193,40 @@ TEST(RoutingPolicy, RegistryDispatchAndExtension)
 
 TEST(RoutingPolicy, LeastLoadedSpreadsConcurrentColds)
 {
-    Simulation sim;
-    ClusterConfig cfg;
+    ParallelFleetConfig cfg;
     cfg.workers = 4;
     cfg.routingPolicy = RoutingPolicyKind::LeastLoaded;
-    Cluster c(sim, cfg);
-    c.deploy(func::profileByName("helloworld"));
-    runScenario(sim, [&]() -> Task<void> {
-        co_await c.prepareAllSnapshots();
-        struct Arrival {
-            static Task<void>
-            run(Cluster &c, sim::Latch *done)
-            {
-                (void)co_await c.invoke("helloworld");
-                done->arrive();
-            }
-        };
-        sim::Latch done(sim, 4);
-        for (int i = 0; i < 4; ++i)
-            sim.spawn(Arrival::run(c, &done));
-        co_await done.wait();
-        // One instance per worker: each arrival saw the previous
-        // dispatches as in-flight load and moved on.
-        for (int w = 0; w < 4; ++w) {
-            EXPECT_EQ(c.worker(w).orchestrator().instanceCount(
-                          "helloworld"),
-                      1)
-                << "worker " << w;
-        }
-    });
+    ParallelFleet f(cfg);
+    (void)f.run(profilesOf({"helloworld"}),
+                [&](FleetClient &c) -> Task<void> {
+                    co_await testing::burst(c, "helloworld", 4);
+                });
+    // One instance per worker: each arrival saw the previous
+    // dispatches as in-flight load and moved on.
+    for (int w = 0; w < 4; ++w) {
+        EXPECT_EQ(f.worker(w).orchestrator().instanceCount("helloworld"),
+                  1)
+            << "worker " << w;
+    }
 }
 
 TEST(RoutingPolicy, LocalityHashConcentratesColdsOnHomeWorker)
 {
-    Simulation sim;
-    ClusterConfig cfg;
+    ParallelFleetConfig cfg;
     cfg.workers = 4;
     cfg.routingPolicy = RoutingPolicyKind::LocalityHash;
-    Cluster c(sim, cfg);
-    c.deploy(func::profileByName("pyaes"));
+    ParallelFleet f(cfg);
     int home = LocalityHashPolicy::homeWorker("pyaes", 4);
-    runScenario(sim, [&]() -> Task<void> {
-        co_await c.prepareAllSnapshots();
-        struct Arrival {
-            static Task<void>
-            run(Cluster &c, sim::Latch *done)
-            {
-                (void)co_await c.invoke("pyaes");
-                done->arrive();
-            }
-        };
-        sim::Latch done(sim, 3);
-        for (int i = 0; i < 3; ++i)
-            sim.spawn(Arrival::run(c, &done));
-        co_await done.wait();
-        // All three colds landed on the hash-home worker (spill
-        // threshold not reached), keeping its artifact tiers hot.
-        for (int w = 0; w < 4; ++w) {
-            EXPECT_EQ(
-                c.worker(w).orchestrator().instanceCount("pyaes"),
-                w == home ? 3 : 0)
-                << "worker " << w;
-        }
+    (void)f.run(profilesOf({"pyaes"}), [&](FleetClient &c) -> Task<void> {
+        co_await testing::burst(c, "pyaes", 3);
     });
+    // All three colds landed on the hash-home worker (spill threshold
+    // not reached), keeping its artifact tiers hot.
+    for (int w = 0; w < 4; ++w) {
+        EXPECT_EQ(f.worker(w).orchestrator().instanceCount("pyaes"),
+                  w == home ? 3 : 0)
+            << "worker " << w;
+    }
 }
 
 TEST(RoutingPolicy, WarmFirstSelectedExplicitlyMatchesDefault)
@@ -280,65 +235,45 @@ TEST(RoutingPolicy, WarmFirstSelectedExplicitlyMatchesDefault)
     // registry-installed warm-first policy must reproduce the default
     // config's trajectory sample-for-sample.
     auto run_once = [](bool explicit_policy) {
-        Simulation sim;
-        ClusterConfig cfg;
+        ParallelFleetConfig cfg;
         cfg.workers = 3;
         cfg.keepAlive = sec(90);
         if (explicit_policy)
             cfg.routingPolicy = RoutingPolicyKind::WarmFirst;
-        Cluster c(sim, cfg);
-        AzureWorkloadConfig wcfg;
-        wcfg.functions = 4;
-        wcfg.minInterarrival = sec(2);
-        wcfg.maxInterarrival = sec(20);
-        wcfg.horizon = sec(120);
-        AzureWorkload w(sim, c, wcfg);
-        FleetStats result;
-        runScenario(sim, [&]() -> Task<void> {
-            result = co_await w.run();
-        });
-        return result;
+        cfg.workload.functions = 4;
+        cfg.workload.minInterarrival = sec(2);
+        cfg.workload.maxInterarrival = sec(20);
+        cfg.workload.horizon = sec(120);
+        ParallelFleet f(cfg);
+        return f.run();
     };
     auto a = run_once(false);
     auto b = run_once(true);
     ASSERT_GT(a.invocations, 5);
-    ASSERT_EQ(a.e2eLatencyMs.values().size(),
-              b.e2eLatencyMs.values().size());
-    for (size_t i = 0; i < a.e2eLatencyMs.values().size(); ++i)
-        EXPECT_EQ(a.e2eLatencyMs.values()[i],
-                  b.e2eLatencyMs.values()[i]);
+    EXPECT_EQ(a.e2eLatencyMs.values(), b.e2eLatencyMs.values());
 }
 
 TEST(FleetStats, AggregatesColdPercentilesTiersAndContention)
 {
-    Simulation sim;
-    ClusterConfig cfg = sharedConfig(2);
+    ParallelFleetConfig cfg = sharedConfig(2);
     cfg.routingPolicy = RoutingPolicyKind::LeastLoaded;
-    Cluster c(sim, cfg);
-    c.deploy(func::profileByName("helloworld"));
-    c.deploy(func::profileByName("json_serdes"));
-    runScenario(sim, [&]() -> Task<void> {
-        co_await c.prepareAllSnapshots();
-        struct Arrival {
-            static Task<void>
-            run(Cluster &c, std::string n, sim::Latch *done)
-            {
-                (void)co_await c.invoke(n);
-                done->arrive();
-            }
-        };
-        sim::Latch done(sim, 6);
-        // Four concurrent colds of one function spread across both
-        // workers under least-loaded, so whichever worker is not the
-        // function's staging home provably pulls through the remote
-        // tier.
-        for (int i = 0; i < 4; ++i)
-            sim.spawn(Arrival::run(c, "helloworld", &done));
-        for (int i = 0; i < 2; ++i)
-            sim.spawn(Arrival::run(c, "json_serdes", &done));
-        co_await done.wait();
-    });
-    FleetStats fs = c.fleetStats();
+    ParallelFleet f(cfg);
+    FleetStats fs = f.run(
+        profilesOf({"helloworld", "json_serdes"}),
+        [&](FleetClient &c) -> Task<void> {
+            // Four concurrent colds of one function spread across both
+            // workers under least-loaded, so whichever worker is not
+            // the function's staging home provably pulls through the
+            // remote tier.
+            sim::Latch done(c.sim(), 6);
+            for (int i = 0; i < 4; ++i)
+                c.sim().spawn(
+                    testing::invokeThenArrive(c, "helloworld", &done));
+            for (int i = 0; i < 2; ++i)
+                c.sim().spawn(
+                    testing::invokeThenArrive(c, "json_serdes", &done));
+            co_await done.wait();
+        });
     EXPECT_EQ(fs.workers, 2);
     EXPECT_GT(fs.coldE2eMs.count(), 0);
     EXPECT_EQ(fs.coldE2eMs.count() + fs.warmE2eMs.count(), 6);
@@ -363,81 +298,53 @@ TEST(FleetStats, AggregatesColdPercentilesTiersAndContention)
     EXPECT_GT(fs.residentBytes, 0);
 }
 
+TEST(FleetStats, DigestIgnoresPercentileQueries)
+{
+    // percentile() is a const query: a digest taken after it equals
+    // one taken before, so any caller may read percentiles first.
+    ParallelFleetConfig cfg;
+    cfg.workers = 2;
+    cfg.workload.functions = 4;
+    cfg.workload.minInterarrival = sec(2);
+    cfg.workload.maxInterarrival = sec(20);
+    cfg.workload.horizon = sec(120);
+    ParallelFleet f(cfg);
+    FleetStats fs = f.run();
+    ASSERT_GT(fs.coldE2eMs.count(), 2);
+    std::uint64_t before = fs.digest();
+    std::vector<double> arrival = fs.e2eLatencyMs.values();
+    (void)fs.e2eLatencyMs.percentile(50);
+    (void)fs.coldP99();
+    (void)fs.warmE2eMs.percentile(90);
+    EXPECT_EQ(fs.digest(), before);
+    EXPECT_EQ(fs.e2eLatencyMs.values(), arrival);
+}
+
 TEST(Autoscaler, ScaleDownSkipsBusyInstance)
 {
     // The janitor race the control plane must survive: the keep-alive
     // window expires while one instance is mid-invocation and another
     // sits idle. The idle one must be reclaimed, the busy one must
     // finish (stopping it used to trip the !busy assertion).
-    Simulation sim;
-    ClusterConfig cfg;
+    ParallelFleetConfig cfg;
     cfg.workers = 1;
     cfg.keepAlive = sec(2);
     cfg.scalePeriod = msec(500);
-    Cluster c(sim, cfg);
-    c.deploy(func::profileByName("lr_training")); // ~5 s invocations
-    runScenario(sim, [&]() -> Task<void> {
-        co_await c.prepareAllSnapshots();
-        // Two concurrent colds leave two warm instances.
-        struct Arrival {
-            static Task<void>
-            run(Cluster &c, sim::Latch *done)
-            {
-                (void)co_await c.invoke("lr_training");
-                done->arrive();
-            }
-        };
-        sim::Latch done(sim, 2);
-        for (int i = 0; i < 2; ++i)
-            sim.spawn(Arrival::run(c, &done));
-        co_await done.wait();
-        EXPECT_EQ(c.instanceCount("lr_training"), 2);
-
-        // One long warm invocation keeps one instance busy while the
-        // other idles past the keep-alive window.
-        c.startAutoscaler();
-        Duration e2e = co_await c.invoke("lr_training");
-        EXPECT_GT(e2e, cfg.keepAlive); // the window expired mid-flight
-        c.stopAutoscaler();
-
-        // The idle instance was scaled down; the busy one survived
-        // its invocation.
-        EXPECT_EQ(c.instanceCount("lr_training"), 1);
-        EXPECT_GE(c.stats("lr_training").scaleDowns, 1);
-    });
-}
-
-TEST(Cluster, SharedSnapshotsRejectsLocalOnlyMode)
-{
-    Simulation sim;
-    ClusterConfig cfg;
-    cfg.workers = 2;
-    cfg.sharedSnapshots = true;
-    cfg.coldStartMode = core::ColdStartMode::Reap;
-    EXPECT_DEATH({ Cluster c(sim, cfg); }, "remote-capable");
-
-    // The shared validator rejects the other nonsense values too, each
-    // on an otherwise valid config.
-    auto rejects = [&sim](auto mutate, const char *what) {
-        ClusterConfig bad;
-        bad.workers = 2;
-        mutate(bad);
-        EXPECT_DEATH({ Cluster c(sim, bad); }, what);
-    };
-    rejects([](ClusterConfig &c) { c.workers = 0; }, "workers");
-    rejects(
-        [](ClusterConfig &c) {
-            c.sharedSnapshots = true;
-            c.coldStartMode = core::ColdStartMode::TieredReap;
-            c.sharedStoreShards = 0;
-        },
-        "sharedStoreShards");
-    rejects([](ClusterConfig &c) { c.registryChunkBudget = -1; },
-            "registryChunkBudget");
-    rejects([](ClusterConfig &c) { c.worker.reap.ssdBudget = -1; },
-            "ssdBudget");
-    rejects([](ClusterConfig &c) { c.keepAlive = -sec(1); }, "keepAlive");
-    rejects([](ClusterConfig &c) { c.scalePeriod = 0; }, "scalePeriod");
+    ParallelFleet f(cfg);
+    (void)f.run(profilesOf({"lr_training"}), // ~5 s invocations
+                [&](FleetClient &c) -> Task<void> {
+                    // Two concurrent colds leave two warm instances.
+                    co_await testing::burst(c, "lr_training", 2);
+                    EXPECT_EQ(c.idleInstances("lr_training"), 2);
+                    // One long warm invocation keeps one instance busy
+                    // while the other idles past the keep-alive window.
+                    Duration e2e = co_await c.invoke("lr_training");
+                    EXPECT_GT(e2e, cfg.keepAlive);
+                });
+    // The idle instance was scaled down; the busy one survived its
+    // invocation.
+    EXPECT_EQ(f.worker(0).orchestrator().instanceCount("lr_training"), 1);
+    EXPECT_GE(f.stats("lr_training").scaleDowns, 1);
 }
 
 TEST(AzureWorkloadFleet, SharedStagingColdStartsStayCorrect)
@@ -445,28 +352,20 @@ TEST(AzureWorkloadFleet, SharedStagingColdStartsStayCorrect)
     // End-to-end: the Azure mix over a shared-staging fleet. Exactly
     // one build per function, and the run completes with every
     // invocation accounted.
-    Simulation sim;
-    ClusterConfig cfg = sharedConfig(4);
+    ParallelFleetConfig cfg = sharedConfig(4);
     cfg.keepAlive = sec(45);
-    Cluster c(sim, cfg);
-    AzureWorkloadConfig wcfg;
-    wcfg.functions = 6;
-    wcfg.minInterarrival = sec(2);
-    wcfg.maxInterarrival = sec(30);
-    wcfg.horizon = sec(240);
-    AzureWorkload w(sim, c, wcfg);
-    FleetStats result;
-    runScenario(sim, [&]() -> Task<void> {
-        result = co_await w.run();
-    });
+    cfg.workload.functions = 6;
+    cfg.workload.minInterarrival = sec(2);
+    cfg.workload.maxInterarrival = sec(30);
+    cfg.workload.horizon = sec(240);
+    ParallelFleet f(cfg);
+    FleetStats result = f.run();
     EXPECT_GT(result.invocations, 10);
-    EXPECT_EQ(result.coldStarts + result.warmHits,
-              result.invocations);
-    EXPECT_EQ(c.snapshotRegistry()->totalBuilds(), 6);
-    EXPECT_EQ(fleetSnapshotBuilds(c), 6);
-    FleetStats fs = c.fleetStats();
-    EXPECT_EQ(fs.coldE2eMs.count(), result.coldStarts);
-    EXPECT_GT(fs.coldP99(), 0.0);
+    EXPECT_EQ(result.coldStarts + result.warmHits, result.invocations);
+    EXPECT_EQ(f.snapshotRegistry()->totalBuilds(), 6);
+    EXPECT_EQ(fleetSnapshotBuilds(f), 6);
+    EXPECT_EQ(result.coldE2eMs.count(), result.coldStarts);
+    EXPECT_GT(result.coldP99(), 0.0);
 }
 
 } // namespace

@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cluster.hh"
+#include "cluster/parallel_fleet.hh"
 #include "core/options.hh"
 #include "core/worker.hh"
 #include "func/profile.hh"
@@ -182,28 +182,41 @@ TEST(Integration, HddAmplifiesReapAdvantage)
     EXPECT_GT(hdd, ssd);
 }
 
-TEST(Integration, ClusterColdStartsUseRecordedWorkingSet)
+TEST(Integration, FleetColdStartsUseRecordedWorkingSet)
 {
-    // After the cluster's first (record) cold start, later cold
-    // starts on the same worker prefetch instead of recording.
-    Simulation sim;
-    cluster::ClusterConfig cfg;
+    // The fleet records each function before traffic, so a cold start
+    // after scale-to-zero prefetches the recorded working set: far
+    // faster than the off-window record phase (vanilla-snapshot cold
+    // start plus tracing) it replaces.
+    cluster::ParallelFleetConfig cfg;
     cfg.workers = 1;
     cfg.keepAlive = sec(5);
     cfg.scalePeriod = sec(1);
-    cluster::Cluster c(sim, cfg);
-    c.deploy(func::profileByName("helloworld"));
-    Duration first = 0, second = 0;
+    cluster::ParallelFleet fleet(cfg);
+    Duration second = 0;
+    (void)fleet.run({func::profileByName("helloworld")},
+                    [&](cluster::FleetClient &c) -> Task<void> {
+                        (void)co_await c.invoke("helloworld");
+                        co_await c.sim().delay(sec(10)); // scaled to zero
+                        EXPECT_EQ(c.idleInstances("helloworld"), 0);
+                        second = co_await c.invoke("helloworld");
+                    });
+    auto &orch = fleet.worker(0).orchestrator();
+    EXPECT_EQ(fleet.stats("helloworld").coldStarts, 2);
+    EXPECT_EQ(orch.stats("helloworld").recordPhases, 1); // off-window
+
+    // The record phase on a bare worker, for scale.
+    Simulation sim;
+    Worker w(sim);
+    Duration record = 0;
     runScenario(sim, [&]() -> Task<void> {
-        co_await c.prepareAllSnapshots();
-        c.startAutoscaler();
-        first = co_await c.invoke("helloworld"); // record phase
-        co_await sim.delay(sec(10));             // scaled to zero
-        EXPECT_EQ(c.instanceCount("helloworld"), 0);
-        second = co_await c.invoke("helloworld"); // REAP prefetch
-        c.stopAutoscaler();
+        auto &o = w.orchestrator();
+        o.registerFunction(func::profileByName("helloworld"));
+        co_await o.prepareSnapshot("helloworld");
+        record = (co_await o.invoke("helloworld", ColdStartMode::Reap))
+                     .total;
     });
-    EXPECT_LT(second, first / 3);
+    EXPECT_LT(second, record / 3);
 }
 
 TEST(Integration, SnapshotFilesLandOnDisk)

@@ -13,8 +13,9 @@
 #include <vector>
 
 #include "cluster/azure_workload.hh"
-#include "cluster/cluster.hh"
 #include "cluster/parallel_fleet.hh"
+#include "func/profile.hh"
+#include "sim/fault.hh"
 #include "sim/parallel.hh"
 #include "sim/simulation.hh"
 #include "sim/sync.hh"
@@ -220,6 +221,9 @@ TEST(ParallelKernel, SoloFastPathCoversSingleActiveDomain)
 namespace vhive::cluster {
 namespace {
 
+using sim::Latch;
+using sim::Task;
+
 ParallelFleetResult
 runFleetScenario(int workers, int threads)
 {
@@ -369,42 +373,100 @@ TEST(ParallelFleet, TrafficDrivenSharedBitIdentical)
     }
 }
 
-TEST(ParallelFleet, StagesLikeClusterInBothSharedModes)
+TEST(ParallelFleet, StagingNumbersPinnedInBothSharedModes)
 {
-    // Both engines stage through one SnapshotRegistry: the same mix
-    // on the same fleet must report the same staging counters whether
-    // Cluster stages it in-domain or ParallelFleet's store domain
-    // stages the payloads home workers ship over ports.
-    for (core::ColdStartMode mode : {core::ColdStartMode::DedupReap,
-                                     core::ColdStartMode::TieredReap}) {
-        ParallelFleetConfig pcfg = sharedConfig(mode, 1, 2, false);
-        FleetStats par = ParallelFleet(pcfg).run();
+    // The 6-function Azure mix on 4 workers and 2 shards stages
+    // through the store domain's SnapshotRegistry to exactly these
+    // counters.
+    FleetStats dedup =
+        ParallelFleet(sharedConfig(core::ColdStartMode::DedupReap, 1, 2,
+                                   false))
+            .run();
+    EXPECT_EQ(dedup.snapshotBuilds, 6);
+    EXPECT_EQ(dedup.stagedBytes, 49'846'446);
+    EXPECT_EQ(dedup.chunksUploaded, 1385);
+    EXPECT_EQ(dedup.chunksStored, 1385);
+    EXPECT_EQ(dedup.dedupSavedBytes, 11'468'549);
+    EXPECT_EQ(dedup.chunkLogicalBytes, 111'173'632);
 
-        sim::Simulation sim;
-        ClusterConfig ccfg;
-        static_cast<FleetConfig &>(ccfg) = pcfg;
-        Cluster cluster(sim, ccfg);
-        for (const AzureMixEntry &e : synthesizeAzureMix(pcfg.workload))
-            cluster.deploy(e.profile);
-        sim.spawn(cluster.prepareAllSnapshots());
-        sim.run();
-        FleetStats seq = cluster.fleetStats();
+    FleetStats tiered =
+        ParallelFleet(sharedConfig(core::ColdStartMode::TieredReap, 1, 2,
+                                   false))
+            .run();
+    EXPECT_EQ(tiered.snapshotBuilds, 6);
+    EXPECT_EQ(tiered.stagedBytes, 111'173'632);
+}
 
-        const char *name = core::coldStartModeName(mode);
-        EXPECT_EQ(seq.snapshotBuilds, 6) << name;
-        EXPECT_GT(seq.stagedBytes, 0) << name;
-        EXPECT_EQ(par.snapshotBuilds, seq.snapshotBuilds) << name;
-        EXPECT_EQ(par.stagedBytes, seq.stagedBytes) << name;
-        EXPECT_EQ(par.chunksUploaded, seq.chunksUploaded) << name;
-        EXPECT_EQ(par.dedupSavedBytes, seq.dedupSavedBytes) << name;
-        EXPECT_EQ(par.chunkLogicalBytes, seq.chunkLogicalBytes) << name;
-        EXPECT_EQ(par.fleetChunkPeakBytes, seq.fleetChunkPeakBytes)
-            << name;
-        EXPECT_EQ(par.chunksStored, seq.chunksStored) << name;
-        if (mode == core::ColdStartMode::DedupReap) {
-            EXPECT_GT(seq.chunksUploaded, 0);
-            EXPECT_GT(seq.dedupSavedBytes, 0);
+/** Bursts past the queue-proxy limit, a restage and a retire. */
+Task<void>
+adminScript(FleetClient &c)
+{
+    struct Arrival {
+        static Task<void>
+        run(FleetClient &c, std::string name, Latch *done)
+        {
+            (void)co_await c.invoke(name);
+            done->arrive();
         }
+    };
+    for (int round = 0; round < 3; ++round) {
+        Latch done(c.sim(), 8);
+        for (int i = 0; i < 8; ++i)
+            c.sim().spawn(Arrival::run(
+                c, i % 2 == 0 ? "helloworld" : "pyaes", &done));
+        co_await done.wait();
+        co_await c.sim().delay(sec(5));
+    }
+    co_await c.restage("helloworld");
+    (void)co_await c.invoke("helloworld");
+    co_await c.retire("pyaes");
+    (void)co_await c.invoke("helloworld");
+}
+
+TEST(ParallelFleet, AdmissionRetriesRestageRetireBitIdentical)
+{
+    // Every control-plane verb at once: queue-proxy admission, crash
+    // retries on injected WorkerCrash faults, a delta restage and a
+    // retire, on the shared DedupReap data plane. The whole run must
+    // digest identically on any thread count.
+    auto run_with = [](int threads, FunctionFleetStats *hw) {
+        ParallelFleetConfig cfg =
+            sharedConfig(core::ColdStartMode::DedupReap, threads, 2,
+                         false);
+        cfg.maxConcurrencyPerFunction = 2;
+        cfg.maxColdStartRetries = 2;
+        cfg.keepAlive = sec(2);
+        cfg.scalePeriod = sec(1);
+        sim::FaultSpec crash;
+        crash.kind = sim::FaultKind::WorkerCrash;
+        crash.target = "worker/*";
+        crash.windows.push_back(sim::FaultWindow{0, sec(600), 50.0, 0.3});
+        cfg.storeFaults.push_back(crash);
+        cfg.faultSeed = 5;
+        ParallelFleet fleet(cfg);
+        FleetStats r = fleet.run(
+            std::vector<func::FunctionProfile>{
+                func::profileByName("helloworld"),
+                func::profileByName("pyaes")},
+            adminScript);
+        *hw = fleet.stats("helloworld");
+        return r;
+    };
+    FunctionFleetStats hw;
+    FleetStats ref = run_with(1, &hw);
+    EXPECT_EQ(ref.invocations, 26);
+    EXPECT_GT(ref.restages, 0);
+    EXPECT_EQ(ref.retires, 1);
+    EXPECT_GT(ref.deltaChunksUploaded, 0);
+    EXPECT_GT(hw.crashRetries, 0);
+    EXPECT_GT(hw.queueDelayMs.max(), 0.0);
+    EXPECT_EQ(hw.queueDelayMs.count(), 14);
+    EXPECT_EQ(hw.coldStarts + hw.warmHits + hw.failedInvocations, 14);
+    std::uint64_t ref_digest = ref.digest();
+    for (int threads : {2, 4}) {
+        FunctionFleetStats other;
+        EXPECT_EQ(run_with(threads, &other).digest(), ref_digest)
+            << "threads=" << threads;
     }
 }
 

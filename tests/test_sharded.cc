@@ -11,11 +11,13 @@
 #include <cstdint>
 #include <vector>
 
-#include "cluster/cluster.hh"
 #include "cluster/fleet_stats.hh"
+#include "cluster/parallel_fleet.hh"
+#include "func/profile.hh"
 #include "net/object_store.hh"
 #include "net/sharded_store.hh"
 #include "sim/simulation.hh"
+#include "sim/task.hh"
 #include "util/units.hh"
 
 namespace vhive::net {
@@ -150,28 +152,23 @@ TEST(ShardedStore, ShardStatsSumToAggregate)
     EXPECT_GT(used, 1);
 }
 
-TEST(ShardedStore, ClusterFleetStatsCarryPerShardRows)
+TEST(ShardedStore, FleetStatsCarryPerShardRows)
 {
-    // End to end: a tiered-shared cluster over a 4-shard store
-    // exports both the aggregate and the agreeing per-shard rows.
-    sim::Simulation sim;
-    cluster::ClusterConfig cfg;
+    // End to end: a tiered-shared fleet over a 4-shard store exports
+    // both the aggregate and the agreeing per-shard rows.
+    cluster::ParallelFleetConfig cfg;
     cfg.workers = 2;
     cfg.coldStartMode = core::ColdStartMode::TieredReap;
     cfg.sharedSnapshots = true;
     cfg.sharedStoreShards = 4;
-    cluster::Cluster cl(sim, cfg);
-    cl.deploy(func::functionBench()[0]);
-    cl.deploy(func::functionBench()[1]);
+    cluster::ParallelFleet fleet(cfg);
+    const auto &fb = func::functionBench();
+    cluster::FleetStats fs = fleet.run(
+        {fb[0], fb[1]}, [&fb](cluster::FleetClient &c) -> sim::Task<void> {
+            (void)co_await c.invoke(fb[0].name);
+            (void)co_await c.invoke(fb[1].name);
+        });
 
-    sim.spawn([](cluster::Cluster &cl) -> sim::Task<void> {
-        co_await cl.prepareAllSnapshots();
-        (void)co_await cl.invoke(func::functionBench()[0].name);
-        (void)co_await cl.invoke(func::functionBench()[1].name);
-    }(cl));
-    sim.run();
-
-    cluster::FleetStats fs = cl.fleetStats();
     ASSERT_EQ(static_cast<int>(fs.storeShards.size()), 4);
     ObjectStoreStats sum;
     for (const ObjectStoreStats &row : fs.storeShards)

@@ -3,8 +3,8 @@
  * Property tests for the planet-scale traffic model
  * (cluster/traffic.hh): deterministic construction per seed, seed
  * sensitivity, burst membership semantics, thinning-sampler accuracy
- * against the analytic rate integral, and the open-loop
- * TrafficWorkload driver on a small cluster.
+ * against the analytic rate integral, and open-loop arrivals driven
+ * through a small fleet.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,7 @@
 #include <cmath>
 #include <vector>
 
-#include "cluster/cluster.hh"
+#include "cluster/parallel_fleet.hh"
 #include "cluster/traffic.hh"
 #include "sim/simulation.hh"
 #include "util/rng.hh"
@@ -237,29 +237,31 @@ TEST(TrafficEngine, PeriodicClassFiresOnTimerGrid)
     EXPECT_LT(periodic, 20);
 }
 
-TEST(TrafficWorkload, OpenLoopDrivesAndDrains)
+TEST(TrafficEngine, OpenLoopFleetDrivesAndDrains)
 {
-    sim::Simulation sim;
-    ClusterConfig ccfg;
-    ccfg.workers = 2;
-    ccfg.coldStartMode = core::ColdStartMode::Reap;
-    Cluster cluster(sim, ccfg);
-
+    ParallelFleetConfig fcfg;
+    fcfg.workers = 2;
+    fcfg.coldStartMode = core::ColdStartMode::Reap;
     TrafficConfig tcfg = smallConfig();
     tcfg.functions = 6;
     tcfg.aggregateRps = 1.0;
     tcfg.horizon = sec(120);
-    TrafficWorkload wl(sim, cluster, tcfg);
+    fcfg.traffic = tcfg;
+    FleetStats r = ParallelFleet(fcfg).run();
 
-    FleetStats r;
-    sim.spawn([](TrafficWorkload &wl,
-                 FleetStats &out) -> sim::Task<void> {
-        out = co_await wl.run();
-    }(wl, r));
-    sim.run();
-
-    EXPECT_GT(r.invocations, 0);
-    // Open loop still completes every fired invocation.
+    // Every arrival the engine schedules inside the horizon fires
+    // (open loop: none waits on an earlier completion)...
+    TrafficEngine eng(tcfg);
+    std::int64_t scheduled = 0;
+    for (int fn = 0; fn < eng.functionCount(); ++fn) {
+        Rng local(tcfg.seed, "traffic-arrivals/" + eng.profile(fn).name);
+        for (Duration t = eng.nextArrival(fn, 0, local); t < tcfg.horizon;
+             t = eng.nextArrival(fn, t, local))
+            ++scheduled;
+    }
+    EXPECT_GT(scheduled, 0);
+    EXPECT_EQ(r.invocations, scheduled);
+    // ...and the drain completes every fired invocation.
     EXPECT_EQ(r.coldStarts + r.warmHits + r.failedInvocations,
               r.invocations);
     EXPECT_EQ(r.e2eLatencyMs.count(), r.invocations);

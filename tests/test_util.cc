@@ -176,6 +176,23 @@ TEST(Samples, PercentileSingleValue)
     EXPECT_DOUBLE_EQ(s.percentile(50), 42.0);
 }
 
+TEST(Samples, PercentileKeepsArrivalOrder)
+{
+    // percentile() is a const query: it must not reorder the samples
+    // values() hands out, and a later add() must be seen.
+    Samples s;
+    for (double v : {5.0, 1.0, 4.0, 2.0})
+        s.add(v);
+    EXPECT_DOUBLE_EQ(s.percentile(100), 5.0);
+    EXPECT_EQ(s.values(), (std::vector<double>{5.0, 1.0, 4.0, 2.0}));
+    s.add(9.0);
+    EXPECT_DOUBLE_EQ(s.percentile(100), 9.0);
+    EXPECT_DOUBLE_EQ(s.percentile(0), 1.0);
+    EXPECT_EQ(s.values().back(), 9.0);
+    s.clear();
+    EXPECT_DOUBLE_EQ(s.percentile(50), 0.0);
+}
+
 TEST(RunningStats, MatchesSamples)
 {
     Rng rng(3);
