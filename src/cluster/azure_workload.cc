@@ -8,15 +8,14 @@
 namespace vhive::cluster {
 
 func::FunctionProfile
-mixProfile(const std::vector<int> &pool,
-           const std::vector<func::FunctionClass> &class_mix,
+mixProfile(const std::vector<func::FunctionClass> &class_mix,
            std::uint64_t seed, int i, const std::string &prefix)
 {
     auto slot = static_cast<size_t>(i);
     func::FunctionProfile p =
         class_mix.empty()
             ? func::functionBench()[static_cast<size_t>(
-                  pool[slot % pool.size()])]
+                  kMixProfilePool[slot % kMixProfilePool.size()])]
             : func::makeClassProfile(class_mix[slot % class_mix.size()],
                                      seed, i);
     p.name = prefix + "_" + std::to_string(i) + "_" + p.name;
@@ -27,7 +26,6 @@ std::vector<AzureMixEntry>
 synthesizeAzureMix(const AzureWorkloadConfig &cfg)
 {
     VHIVE_ASSERT(cfg.functions >= 1);
-    VHIVE_ASSERT(!cfg.profilePool.empty() || !cfg.classMix.empty());
     VHIVE_ASSERT(cfg.minInterarrival > 0 &&
                  cfg.maxInterarrival >= cfg.minInterarrival);
 
@@ -40,7 +38,7 @@ synthesizeAzureMix(const AzureWorkloadConfig &cfg)
     mix.reserve(static_cast<size_t>(cfg.functions));
     for (int i = 0; i < cfg.functions; ++i) {
         func::FunctionProfile p =
-            mixProfile(cfg.profilePool, cfg.classMix, cfg.seed, i, "az");
+            mixProfile(cfg.classMix, cfg.seed, i, "az");
         // Log-uniform inter-arrival: most functions end up sporadic,
         // matching the Azure study's long tail.
         double u = rng.uniform();

@@ -13,6 +13,7 @@
 #ifndef VHIVE_CLUSTER_AZURE_WORKLOAD_HH
 #define VHIVE_CLUSTER_AZURE_WORKLOAD_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -22,6 +23,16 @@
 #include "util/units.hh"
 
 namespace vhive::cluster {
+
+/**
+ * Indices into func::functionBench() that synthesized populations
+ * (the Azure mix without a classMix, and every TrafficEngine
+ * population) draw profiles from, cycled: the low/medium-weight
+ * functions, so the mix resembles the short-running production
+ * population.
+ */
+inline constexpr std::array<int, 7> kMixProfilePool = {0, 1, 2, 3,
+                                                       4, 5, 7};
 
 /** Configuration of the synthetic production mix. */
 struct AzureWorkloadConfig
@@ -42,15 +53,8 @@ struct AzureWorkloadConfig
     std::uint64_t seed = 0xa27e;
 
     /**
-     * Indices into func::functionBench() to draw profiles from
-     * (cycled). Defaults to the low/medium-weight functions so the
-     * mix resembles the short-running production population.
-     */
-    std::vector<int> profilePool = {0, 1, 2, 3, 4, 5, 7};
-
-    /**
      * When non-empty, profiles are generated from these function
-     * classes instead of profilePool: function i is drawn by
+     * classes instead of kMixProfilePool: function i is drawn by
      * func::makeClassProfile(classMix[i % size], seed, i), cycling
      * the list. Inter-arrival synthesis is unchanged (one uniform per
      * function from the same "azure-workload" stream), so switching a
@@ -72,18 +76,18 @@ struct AzureMixEntry
  * "<prefix>_<i>_<base>": func::makeClassProfile(classMix[i % size],
  * seed, i) when @p class_mix is non-empty (its own named sub-stream,
  * so the caller's streams see exactly the draws they always did),
- * else func::functionBench()[pool[i % size]].
+ * else func::functionBench()[kMixProfilePool[i % size]].
  */
 func::FunctionProfile mixProfile(
-    const std::vector<int> &pool,
     const std::vector<func::FunctionClass> &class_mix,
     std::uint64_t seed, int i, const std::string &prefix);
 
 /**
  * Synthesize the deterministic function mix @p cfg describes: profile
- * picks cycle through cfg.profilePool and mean inter-arrivals are
- * log-uniform over [minInterarrival, maxInterarrival], all driven by
- * Rng(cfg.seed, "azure-workload") in deployment order.
+ * picks cycle through kMixProfilePool (or cfg.classMix) and mean
+ * inter-arrivals are log-uniform over [minInterarrival,
+ * maxInterarrival], all driven by Rng(cfg.seed, "azure-workload") in
+ * deployment order.
  */
 std::vector<AzureMixEntry> synthesizeAzureMix(
     const AzureWorkloadConfig &cfg);

@@ -6,7 +6,6 @@
 #include <ranges>
 
 #include "cluster/snapshot_registry.hh"
-#include "util/logging.hh"
 
 namespace vhive::cluster {
 
@@ -74,6 +73,38 @@ struct Fnv
         (mix(vs), ...);
     }
 };
+
+/**
+ * Merge one tier row into @p into, keyed by tier label (same label ->
+ * counters summed; new label -> appended in arrival order).
+ */
+void
+mergeTierRow(std::vector<core::TierBreakdown> &into,
+             const core::TierBreakdown &row)
+{
+    for (auto &t : into) {
+        if (t.tier == row.tier) {
+            t.hits += row.hits;
+            t.misses += row.misses;
+            t.admissions += row.admissions;
+            t.bytes += row.bytes;
+            // Resident/peak/evicted are cumulative worker-wide
+            // samples (each cold's row carries the counter's value at
+            // that instant), not per-invocation increments: summing
+            // would multiply-count them, so merge by max — the
+            // highest (for the monotonic counters, latest) sample.
+            t.residentBytes =
+                std::max(t.residentBytes, row.residentBytes);
+            t.peakResidentBytes =
+                std::max(t.peakResidentBytes, row.peakResidentBytes);
+            t.bytesEvicted =
+                std::max(t.bytesEvicted, row.bytesEvicted);
+            t.time += row.time;
+            return;
+        }
+    }
+    into.push_back(row);
+}
 
 } // namespace
 
@@ -204,170 +235,6 @@ FleetStats::digest() const
           deltaChunksUploaded, deltaBytesUploaded, retires, gcReleasedBytes,
           eventsProcessed, windows, messages);
     return f.h;
-}
-
-void
-mergeTierRow(std::vector<core::TierBreakdown> &into,
-             const core::TierBreakdown &row)
-{
-    for (auto &t : into) {
-        if (t.tier == row.tier) {
-            t.hits += row.hits;
-            t.misses += row.misses;
-            t.admissions += row.admissions;
-            t.bytes += row.bytes;
-            // Resident/peak/evicted are cumulative worker-wide
-            // samples (each cold's row carries the counter's value at
-            // that instant), not per-invocation increments: summing
-            // would multiply-count them, so merge by max — the
-            // highest (for the monotonic counters, latest) sample.
-            t.residentBytes =
-                std::max(t.residentBytes, row.residentBytes);
-            t.peakResidentBytes =
-                std::max(t.peakResidentBytes, row.peakResidentBytes);
-            t.bytesEvicted =
-                std::max(t.bytesEvicted, row.bytesEvicted);
-            t.time += row.time;
-            return;
-        }
-    }
-    into.push_back(row);
-}
-
-void
-mergeStoreStats(net::ObjectStoreStats &a, const net::ObjectStoreStats &b)
-{
-    a.gets += b.gets;
-    a.puts += b.puts;
-    a.rangedGets += b.rangedGets;
-    a.bytesServed += b.bytesServed;
-    a.bytesStored += b.bytesStored;
-    a.streamWaits += b.streamWaits;
-    a.streamWaitTime += b.streamWaitTime;
-    a.peakStreamQueue =
-        std::max(a.peakStreamQueue, b.peakStreamQueue);
-    a.chunkPuts += b.chunkPuts;
-    a.chunkBatches += b.chunkBatches;
-    a.chunksServed += b.chunksServed;
-    a.requestRetries += b.requestRetries;
-    a.outageStalls += b.outageStalls;
-}
-
-void
-validateFleetConfig(const FleetConfig &cfg, const char *engine)
-{
-    if (cfg.workers < 1)
-        fatal("%s: workers must be >= 1 (got %d)", engine, cfg.workers);
-    for (auto [field, n] :
-         {std::pair{"maxConcurrencyPerFunction",
-                    cfg.maxConcurrencyPerFunction},
-          std::pair{"maxColdStartRetries", cfg.maxColdStartRetries}}) {
-        if (n < 0)
-            fatal("%s: %s must be >= 0 (got %d)", engine, field, n);
-    }
-    if (cfg.sharedStoreShards < 1)
-        fatal("%s: sharedStoreShards must be >= 1 (got %d)", engine,
-              cfg.sharedStoreShards);
-    for (auto [field, d] : {std::pair{"keepAlive", cfg.keepAlive},
-                            std::pair{"scalePeriod", cfg.scalePeriod}}) {
-        if (d <= 0)
-            fatal("%s: %s must be > 0 (got %lld ns)", engine, field,
-                  static_cast<long long>(d));
-    }
-    const core::ReapOptions &reap = cfg.worker.reap;
-    for (auto [field, bytes] :
-         {std::pair{"registryChunkBudget", cfg.registryChunkBudget},
-          std::pair{"worker.reap.pageCacheBudget", reap.pageCacheBudget},
-          std::pair{"worker.reap.chunkCacheBudget", reap.chunkCacheBudget},
-          std::pair{"worker.reap.ssdBudget", reap.ssdBudget}}) {
-        if (bytes < 0)
-            fatal("%s: %s must be >= 0 (got %lld)", engine, field,
-                  static_cast<long long>(bytes));
-    }
-    if (cfg.sharedSnapshots &&
-        cfg.coldStartMode != core::ColdStartMode::TieredReap &&
-        cfg.coldStartMode != core::ColdStartMode::RemoteReap &&
-        cfg.coldStartMode != core::ColdStartMode::DedupReap) {
-        fatal("%s: sharedSnapshots needs a remote-capable cold-start "
-              "mode (TieredReap, RemoteReap or DedupReap); %s keeps "
-              "all artifacts local and has nothing to stage",
-              engine, core::coldStartModeName(cfg.coldStartMode));
-    }
-}
-
-std::unique_ptr<net::ShardedObjectStore>
-makeSharedStore(sim::Simulation &sim, const FleetConfig &cfg)
-{
-    net::ShardedStoreParams sp;
-    sp.shards = cfg.sharedStoreShards;
-    sp.shard = cfg.sharedStore;
-    sp.placement = cfg.chunkPlacement;
-    return std::make_unique<net::ShardedObjectStore>(sim, sp);
-}
-
-std::unique_ptr<core::Worker>
-makeWorker(sim::Simulation &sim, const FleetConfig &cfg, int i,
-           net::ArtifactStore *store)
-{
-    core::WorkerConfig wc = cfg.worker;
-    wc.seed = cfg.worker.seed + static_cast<std::uint64_t>(i);
-    return std::make_unique<core::Worker>(sim, wc, store);
-}
-
-core::ColdStartMode
-preWarmMode(core::ColdStartMode mode)
-{
-    switch (mode) {
-      case core::ColdStartMode::TieredReap:
-      case core::ColdStartMode::RemoteReap:
-      case core::ColdStartMode::DedupReap:
-      case core::ColdStartMode::BackgroundWarm:
-        return core::ColdStartMode::BackgroundWarm;
-      default:
-        return mode;
-    }
-}
-
-bool
-fetchedRemotely(const FleetConfig &cfg,
-                const core::LatencyBreakdown &bd,
-                bool artifacts_were_local)
-{
-    if (!cfg.sharedSnapshots || !bd.cold)
-        return false;
-    bool fetched = cfg.coldStartMode == core::ColdStartMode::RemoteReap ||
-                   !artifacts_were_local;
-    for (const auto &t : bd.tierHits) {
-        if (t.tier == "remote")
-            fetched = t.bytes > 0;
-    }
-    return fetched;
-}
-
-ControlTickContext
-controlTickContext(Time now, int workers, const FleetStats &live)
-{
-    ControlTickContext ctx;
-    ctx.now = now;
-    ctx.workers = workers;
-    ctx.coldStarts = live.coldStarts;
-    if (live.coldE2eMs.count() > 0)
-        ctx.coldP99Ms = live.coldE2eMs.percentile(99);
-    return ctx;
-}
-
-sim::Task<void>
-preRecordWorkingSets(const FleetConfig &cfg, core::Orchestrator &orch,
-                     const std::vector<std::string> &functions)
-{
-    if (!orch.loaders().loaderFor(cfg.coldStartMode).needsRecord())
-        co_return;
-    for (const std::string &name : functions) {
-        orch.flushHostCaches();
-        core::InvokeOptions opts;
-        opts.forceCold = true;
-        (void)co_await orch.invoke(name, cfg.coldStartMode, opts);
-    }
 }
 
 } // namespace vhive::cluster

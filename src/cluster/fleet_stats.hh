@@ -1,16 +1,13 @@
 /**
  * @file
  * The fleet schema of cluster::ParallelFleet: the configuration fields
- * of a fleet (FleetConfig), the one fleet-level result a run reports
- * (FleetStats), and the engine steps written once beside them
- * (validation, worker and shared-store construction, the pre-warm
- * mode, the off-window record pass, remote-fetch classification, the
- * control-tick context, and the folds of each worker and of the
- * shared staging registry).
+ * of a fleet (FleetConfig) and the one fleet-level result a run reports
+ * (FleetStats), with the folds of each worker and of the shared
+ * staging registry into it.
  *
  * FleetStats aggregates what the SeBS methodology (arXiv:2012.14132)
  * says a serverless benchmark must report at fleet level — cold-start
- * latency percentiles (p50/p99/p999) rather than single-host means,
+ * latency percentiles (p50/p99) rather than single-host means,
  * per-worker and fleet-summed tier-hit accounting, object-store stream
  * contention, resident memory, and the snapshot-registry staging
  * counters. Without sharedSnapshots there is no shared store and no
@@ -22,7 +19,6 @@
 #define VHIVE_CLUSTER_FLEET_STATS_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -33,7 +29,6 @@
 #include "core/worker.hh"
 #include "net/object_store.hh"
 #include "net/sharded_store.hh"
-#include "sim/task.hh"
 #include "storage/eviction.hh"
 #include "util/stats.hh"
 #include "util/units.hh"
@@ -91,11 +86,9 @@ struct FleetConfig
      */
     bool sharedSnapshots = false;
 
-    /** Per-shard parameters of the shared store (sharedSnapshots). */
-    net::ObjectStoreParams sharedStore = net::ObjectStoreParams::remote();
-
     /**
-     * Shards behind the fleet-shared store (sharedSnapshots only).
+     * Shards behind the fleet-shared store (sharedSnapshots only),
+     * each a net::ObjectStoreParams::remote() store.
      * Each shard has its own stream bound and stats; 1 keeps the
      * historical single-store behaviour bit-identical.
      */
@@ -224,8 +217,8 @@ struct FleetStats
     /**
      * Per-shard rows of the shared store, in shard order (empty when
      * snapshot sharing is off). The summed `store` field above and
-     * these rows agree by construction: mergeStoreStats over the rows
-     * reproduces the aggregate.
+     * these rows agree by construction: ObjectStoreStats::merge over
+     * the rows reproduces the aggregate.
      */
     std::vector<net::ObjectStoreStats> storeShards;
 
@@ -417,7 +410,6 @@ struct FleetStats
 
     double coldP50() const { return coldE2eMs.percentile(50); }
     double coldP99() const { return coldE2eMs.percentile(99); }
-    double coldP999() const { return coldE2eMs.percentile(99.9); }
 
     /**
      * FNV-1a fingerprint over every field (per-sample latency bit
@@ -428,78 +420,6 @@ struct FleetStats
      */
     std::uint64_t digest() const;
 };
-
-/**
- * Merge one tier row into @p into, keyed by tier label (same label ->
- * counters summed; new label -> appended in arrival order).
- */
-void mergeTierRow(std::vector<core::TierBreakdown> &into,
-                  const core::TierBreakdown &row);
-
-/** Sum @p b's request/byte/contention counters into @p a. */
-void mergeStoreStats(net::ObjectStoreStats &a,
-                     const net::ObjectStoreStats &b);
-
-/**
- * fatal() on a configuration no engine can run, naming @p engine and
- * the offending field: fewer than one worker or shard, a negative
- * byte budget, a non-positive keep-alive or scale period, or snapshot
- * sharing with a mode that keeps every artifact local.
- */
-void validateFleetConfig(const FleetConfig &cfg, const char *engine);
-
-/** The fleet-shared store @p cfg describes (sharedSnapshots), on
- * @p sim. */
-std::unique_ptr<net::ShardedObjectStore> makeSharedStore(
-    sim::Simulation &sim, const FleetConfig &cfg);
-
-/**
- * Worker @p i of the fleet on @p sim, seeded worker.seed + i
- * (distinct page layouts do not matter, but determinism across runs
- * does), staging through @p store (null: its own object store).
- */
-std::unique_ptr<core::Worker> makeWorker(sim::Simulation &sim,
-                                         const FleetConfig &cfg, int i,
-                                         net::ArtifactStore *store);
-
-/**
- * The ColdStartMode pre-warm actions load through: Sec. 6.3
- * background working-set warming for the tiered/remote family (yield
- * store streams to foreground colds), the configured mode itself
- * otherwise (plain Reap must not gain tiered staging).
- */
-core::ColdStartMode preWarmMode(core::ColdStartMode mode);
-
-/**
- * Whether the invocation @p bd describes was a cold start that pulled
- * staged artifact bytes through the fleet-shared store (never without
- * sharedSnapshots). RemoteReap GETs the artifacts on every cold start;
- * tiered chains report exactly which tier served the WS bytes, and
- * that report wins over @p artifacts_were_local (the pre-invoke view,
- * which a concurrent cold start may have changed).
- */
-bool fetchedRemotely(const FleetConfig &cfg,
-                     const core::LatencyBreakdown &bd,
-                     bool artifacts_were_local);
-
-/**
- * The fleet-wide part of a ControlPolicy tick's input: @p now, the
- * worker count, and the cold starts and cold p99 in @p live so far.
- */
-ControlTickContext controlTickContext(Time now, int workers,
-                                      const FleetStats &live);
-
-/**
- * The off-window record pass of one worker without shared staging:
- * one forced record-phase cold start of every function in
- * @p functions (host caches flushed before each), so the measured
- * window starts with every working set recorded — deployed
- * production functions recorded long ago. Skipped when the configured
- * mode records nothing.
- */
-sim::Task<void> preRecordWorkingSets(
-    const FleetConfig &cfg, core::Orchestrator &orch,
-    const std::vector<std::string> &functions);
 
 } // namespace vhive::cluster
 

@@ -2,10 +2,86 @@
 
 #include <algorithm>
 
+#include "net/rpc.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
 namespace vhive::cluster {
+
+namespace {
+
+/**
+ * Control-plane <-> worker fabric latency: the per-direction hop every
+ * request pays, and the kernel's lookahead window.
+ */
+constexpr Duration kFabricHop = net::RpcParams{}.clusterHop;
+
+/**
+ * The ColdStartMode pre-warm actions load through: Sec. 6.3
+ * background working-set warming for the tiered/remote family (yield
+ * store streams to foreground colds), the configured mode itself
+ * otherwise (plain Reap must not gain tiered staging).
+ */
+core::ColdStartMode
+preWarmMode(core::ColdStartMode mode)
+{
+    switch (mode) {
+      case core::ColdStartMode::TieredReap:
+      case core::ColdStartMode::RemoteReap:
+      case core::ColdStartMode::DedupReap:
+      case core::ColdStartMode::BackgroundWarm:
+        return core::ColdStartMode::BackgroundWarm;
+      default:
+        return mode;
+    }
+}
+
+/**
+ * Whether the invocation @p bd describes was a cold start that pulled
+ * staged artifact bytes through the fleet-shared store (never without
+ * sharedSnapshots). RemoteReap GETs the artifacts on every cold start;
+ * tiered chains report exactly which tier served the WS bytes, and
+ * that report wins over @p artifacts_were_local (the pre-invoke view,
+ * which a concurrent cold start may have changed).
+ */
+bool
+fetchedRemotely(const FleetConfig &cfg, const core::LatencyBreakdown &bd,
+                bool artifacts_were_local)
+{
+    if (!cfg.sharedSnapshots || !bd.cold)
+        return false;
+    bool fetched = cfg.coldStartMode == core::ColdStartMode::RemoteReap ||
+                   !artifacts_were_local;
+    for (const auto &t : bd.tierHits) {
+        if (t.tier == "remote")
+            fetched = t.bytes > 0;
+    }
+    return fetched;
+}
+
+/**
+ * The off-window record pass of one worker without shared staging:
+ * one forced record-phase cold start of every function in
+ * @p functions (host caches flushed before each), so the measured
+ * window starts with every working set recorded — deployed
+ * production functions recorded long ago. Skipped when the configured
+ * mode records nothing.
+ */
+sim::Task<void>
+preRecordWorkingSets(const FleetConfig &cfg, core::Orchestrator &orch,
+                     const std::vector<std::string> &functions)
+{
+    if (!orch.loaders().loaderFor(cfg.coldStartMode).needsRecord())
+        co_return;
+    for (const std::string &name : functions) {
+        orch.flushHostCaches();
+        core::InvokeOptions opts;
+        opts.forceCold = true;
+        (void)co_await orch.invoke(name, cfg.coldStartMode, opts);
+    }
+}
+
+} // namespace
 
 ParallelFleetConfig
 ParallelFleet::checkedConfig(ParallelFleetConfig config)
@@ -13,11 +89,44 @@ ParallelFleet::checkedConfig(ParallelFleetConfig config)
     // Runs in the member-init list, before the kernel's thread pool
     // is constructed: an unsupported configuration exits cleanly
     // instead of tearing down live simulation threads.
-    validateFleetConfig(config, "ParallelFleet");
-    if (config.fabricHop <= 0)
-        fatal("ParallelFleet: fabricHop (the kernel lookahead) must be "
-              "> 0 (got %lld ns)",
-              static_cast<long long>(config.fabricHop));
+    if (config.workers < 1)
+        fatal("ParallelFleet: workers must be >= 1 (got %d)",
+              config.workers);
+    for (auto [field, n] :
+         {std::pair{"maxConcurrencyPerFunction",
+                    config.maxConcurrencyPerFunction},
+          std::pair{"maxColdStartRetries", config.maxColdStartRetries}}) {
+        if (n < 0)
+            fatal("ParallelFleet: %s must be >= 0 (got %d)", field, n);
+    }
+    if (config.sharedStoreShards < 1)
+        fatal("ParallelFleet: sharedStoreShards must be >= 1 (got %d)",
+              config.sharedStoreShards);
+    for (auto [field, d] : {std::pair{"keepAlive", config.keepAlive},
+                            std::pair{"scalePeriod", config.scalePeriod}}) {
+        if (d <= 0)
+            fatal("ParallelFleet: %s must be > 0 (got %lld ns)", field,
+                  static_cast<long long>(d));
+    }
+    const core::ReapOptions &reap = config.worker.reap;
+    for (auto [field, bytes] :
+         {std::pair{"registryChunkBudget", config.registryChunkBudget},
+          std::pair{"worker.reap.pageCacheBudget", reap.pageCacheBudget},
+          std::pair{"worker.reap.chunkCacheBudget", reap.chunkCacheBudget},
+          std::pair{"worker.reap.ssdBudget", reap.ssdBudget}}) {
+        if (bytes < 0)
+            fatal("ParallelFleet: %s must be >= 0 (got %lld)", field,
+                  static_cast<long long>(bytes));
+    }
+    if (config.sharedSnapshots &&
+        config.coldStartMode != core::ColdStartMode::TieredReap &&
+        config.coldStartMode != core::ColdStartMode::RemoteReap &&
+        config.coldStartMode != core::ColdStartMode::DedupReap) {
+        fatal("ParallelFleet: sharedSnapshots needs a remote-capable "
+              "cold-start mode (TieredReap, RemoteReap or DedupReap); "
+              "%s keeps all artifacts local and has nothing to stage",
+              core::coldStartModeName(config.coldStartMode));
+    }
     return config;
 }
 
@@ -33,7 +142,12 @@ ParallelFleet::ParallelFleet(ParallelFleetConfig config)
     activePolicy = &policies.policyFor(cfg.routingPolicy);
 
     if (cfg.sharedSnapshots) {
-        sharedStore = makeSharedStore(kernel.sim(storeDomain()), cfg);
+        net::ShardedStoreParams sp;
+        sp.shards = cfg.sharedStoreShards;
+        sp.shard = net::ObjectStoreParams::remote();
+        sp.placement = cfg.chunkPlacement;
+        sharedStore = std::make_unique<net::ShardedObjectStore>(
+            kernel.sim(storeDomain()), sp);
         registry = std::make_unique<SnapshotRegistry>(
             kernel.sim(storeDomain()), *sharedStore, cfg);
         if (!cfg.storeFaults.empty()) {
@@ -57,11 +171,11 @@ ParallelFleet::ParallelFleet(ParallelFleetConfig config)
         node->fromControl =
             std::make_unique<sim::CrossPort<WorkerMsg>>(
                 kernel, kernel.domain(0), kernel.domain(1 + w),
-                cfg.fabricHop);
+                kFabricHop);
         node->toControl =
             std::make_unique<sim::CrossPort<ControlMsg>>(
                 kernel, kernel.domain(1 + w), kernel.domain(0),
-                cfg.fabricHop);
+                kFabricHop);
         if (cfg.sharedSnapshots) {
             // Store ports + client must exist before the Worker: the
             // worker's loaders capture the client as their artifact
@@ -69,18 +183,22 @@ ParallelFleet::ParallelFleet(ParallelFleetConfig config)
             node->toStore =
                 std::make_unique<sim::CrossPort<StoreMsg>>(
                     kernel, kernel.domain(1 + w),
-                    kernel.domain(storeDomain()), cfg.fabricHop);
+                    kernel.domain(storeDomain()), kFabricHop);
             node->fromStore =
                 std::make_unique<sim::CrossPort<StoreReply>>(
                     kernel, kernel.domain(storeDomain()),
-                    kernel.domain(1 + w), cfg.fabricHop);
+                    kernel.domain(1 + w), kFabricHop);
             node->storeClient =
                 std::make_unique<StorePortClient>(*this, w);
             node->allAdopted =
                 std::make_unique<sim::Gate>(kernel.sim(1 + w));
         }
-        node->worker = makeWorker(kernel.sim(1 + w), cfg, w,
-                                  node->storeClient.get());
+        // Seeded worker.seed + w: distinct page layouts do not matter,
+        // but determinism across runs does.
+        core::WorkerConfig wc = cfg.worker;
+        wc.seed = cfg.worker.seed + static_cast<std::uint64_t>(w);
+        node->worker = std::make_unique<core::Worker>(
+            kernel.sim(1 + w), wc, node->storeClient.get());
         if (!cfg.storeFaults.empty()) {
             // One plan per domain (FaultPlan is not thread-safe),
             // seeded per worker so domains draw independent but
@@ -269,14 +387,6 @@ std::int64_t
 ParallelFleet::MirrorView::inFlight(int worker) const
 {
     return fleet.mirrorInFlight[static_cast<std::size_t>(worker)];
-}
-
-Bytes
-ParallelFleet::MirrorView::residentBytes(int) const
-{
-    // The mirror does not track instance memory; load-aware policies
-    // in this build consult idle/in-flight counters only.
-    return 0;
 }
 
 bool
@@ -981,8 +1091,12 @@ ParallelFleet::controlTickLoop()
         if (controlStopping)
             break;
 
-        ControlTickContext ctx =
-            controlTickContext(csim.now(), cfg.workers, result);
+        ControlTickContext ctx;
+        ctx.now = csim.now();
+        ctx.workers = cfg.workers;
+        ctx.coldStarts = result.coldStarts;
+        if (result.coldE2eMs.count() > 0)
+            ctx.coldP99Ms = result.coldE2eMs.percentile(99);
         ctx.functions.reserve(fnNames.size());
         for (std::size_t fn = 0; fn < fnNames.size(); ++fn) {
             const std::string &name = fnNames[fn];

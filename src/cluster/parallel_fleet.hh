@@ -11,8 +11,9 @@
  * its keep-alive janitor. All cross-domain interaction flows through
  * two CrossPorts per worker (requests and control notices down,
  * completion/scale notices up), both with the cluster fabric-hop
- * latency — which is also the kernel's lookahead, so a window spans
- * one fabric hop of simulated time.
+ * latency (net::RpcParams::clusterHop, 500 us) — which is also the
+ * kernel's lookahead, so a window spans one fabric hop of simulated
+ * time.
  *
  * The control plane routes on a *mirrored* view of worker
  * warm/in-flight state that trails reality by one fabric hop — exactly
@@ -31,9 +32,10 @@
  * janitor's sweeps.
  *
  * Shared data plane (sharedSnapshots): a SnapshotRegistry and the
- * fleet-shared artifact store run in their own kernel domain (index
- * workers + 1). Workers reach the store through typed request/reply
- * CrossPorts: a per-worker StorePortClient implements
+ * fleet-shared artifact store (sharedStoreShards shards, each a
+ * net::ObjectStoreParams::remote() store) run in their own kernel
+ * domain (index workers + 1). Workers reach the store through typed
+ * request/reply CrossPorts: a per-worker StorePortClient implements
  * net::ArtifactStore by shipping each operation to the store domain
  * and waiting for the reply, so loaders and page sources work
  * unchanged. Staging is build-once: each function's home worker (same
@@ -85,7 +87,6 @@
 #include "cluster/traffic.hh"
 #include "core/worker.hh"
 #include "func/profile.hh"
-#include "net/rpc.hh"
 #include "net/sharded_store.hh"
 #include "sim/fault.hh"
 #include "sim/parallel.hh"
@@ -118,12 +119,6 @@ struct ParallelFleetConfig : FleetConfig
      * above is then ignored.
      */
     std::optional<TrafficConfig> traffic;
-
-    /**
-     * Control-plane <-> worker fabric latency: the per-direction hop
-     * every request pays, and the kernel's lookahead window.
-     */
-    Duration fabricHop = net::RpcParams{}.clusterHop;
 
     /**
      * Fault specs of the fleet. A FaultPlan is not thread-safe, so
@@ -492,7 +487,6 @@ class ParallelFleet
         std::int64_t idleInstances(
             int worker, const std::string &name) const override;
         std::int64_t inFlight(int worker) const override;
-        Bytes residentBytes(int worker) const override;
         bool artifactsLocal(int worker,
                             const std::string &name) const override;
 

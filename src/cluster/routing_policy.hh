@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "cluster/policy_registry.hh"
-#include "util/units.hh"
 
 namespace vhive::cluster {
 
@@ -67,9 +66,6 @@ class FleetView
 
     /** Invocations currently in flight on @p worker (all functions). */
     virtual std::int64_t inFlight(int worker) const = 0;
-
-    /** Resident instance memory on @p worker. */
-    virtual Bytes residentBytes(int worker) const = 0;
 
     /** Whether @p worker holds a local copy of @p name's artifacts. */
     virtual bool artifactsLocal(int worker,
@@ -137,16 +133,6 @@ class LeastLoadedPolicy final : public RoutingPolicy
 class LocalityHashPolicy final : public RoutingPolicy
 {
   public:
-    /**
-     * @param spill_in_flight In-flight invocations at which a worker
-     * counts as saturated and the cold start spills to the next ring
-     * position.
-     */
-    explicit LocalityHashPolicy(std::int64_t spill_in_flight = 8)
-        : spillInFlight(spill_in_flight)
-    {
-    }
-
     const char *name() const override { return "locality-hash"; }
     int route(const RouteContext &ctx) override;
 
@@ -159,14 +145,18 @@ class LocalityHashPolicy final : public RoutingPolicy
      * bit-identical.
      */
     void setOverlapWeight(double weight) { overlapWeight = weight; }
-    double getOverlapWeight() const { return overlapWeight; }
 
     /** The function's home position on the worker ring (FNV-1a via
      * util's hashName, platform-independent). */
     static int homeWorker(const std::string &name, int workers);
 
   private:
-    std::int64_t spillInFlight;
+    /**
+     * In-flight invocations at which a worker counts as saturated and
+     * the cold start spills to the next ring position.
+     */
+    static constexpr std::int64_t kSpillInFlight = 8;
+
     double overlapWeight = 0.0;
 };
 

@@ -16,14 +16,13 @@ TrafficEngine::TrafficEngine(TrafficConfig config) : cfg(std::move(config))
     VHIVE_ASSERT(cfg.diurnal.amplitude >= 0 &&
                  cfg.diurnal.amplitude <= 0.95);
     VHIVE_ASSERT(cfg.diurnal.period > 0);
-    VHIVE_ASSERT(!cfg.profilePool.empty() || !cfg.classMix.empty());
 
-    // Profiles: same synthesis scheme as the Azure mix, distinct name
-    // prefix so traffic- and mix-driven fleets never collide.
+    // Profiles: same synthesis scheme as the Azure mix, cycling
+    // kMixProfilePool, with a distinct name prefix so traffic- and
+    // mix-driven fleets never collide.
     profiles.reserve(static_cast<size_t>(cfg.functions));
     for (int i = 0; i < cfg.functions; ++i)
-        profiles.push_back(mixProfile(cfg.profilePool, cfg.classMix,
-                                      cfg.seed, i, "tr"));
+        profiles.push_back(mixProfile({}, cfg.seed, i, "tr"));
 
     // Uniform tenant assignment from a named sub-stream.
     Rng trng(cfg.seed, "traffic-tenants");
@@ -50,7 +49,6 @@ TrafficEngine::TrafficEngine(TrafficConfig config) : cfg(std::move(config))
     // period.
     VHIVE_ASSERT(cfg.periodicFraction >= 0 &&
                  cfg.periodicFraction <= 1);
-    VHIVE_ASSERT(cfg.periodicJitter >= 0 && cfg.periodicJitter < 0.5);
     VHIVE_ASSERT(cfg.periodicMinPeriod > 0 &&
                  cfg.periodicMaxPeriod >= cfg.periodicMinPeriod);
     periods.assign(static_cast<size_t>(cfg.functions), 0);
@@ -177,7 +175,7 @@ TrafficEngine::nextArrival(int fn, Duration now, Rng &rng) const
         std::int64_t k =
             now < phase ? 0 : (now - phase) / period + 1;
         Duration jitter = static_cast<Duration>(
-            rng.uniform() * cfg.periodicJitter *
+            rng.uniform() * kPeriodicJitter *
             static_cast<double>(period));
         Duration t = phase + k * period + jitter;
         if (t <= now)

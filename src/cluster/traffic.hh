@@ -104,25 +104,21 @@ struct TrafficConfig
      * from the seed; a timer neither flash-crowds nor follows the
      * diurnal curve, so periodic functions ignore burst and diurnal
      * modulation (and their Zipf rate share — aggregateRps then only
-     * approximates the population total). 0 disables the class.
+     * approximates the population total). Each timer arrival is
+     * jittered by up to TrafficEngine::kPeriodicJitter of its period.
+     * 0 disables the class.
      */
     double periodicFraction = 0;
     Duration periodicMinPeriod = sec(60);
     Duration periodicMaxPeriod = sec(480);
 
-    /** Per-arrival uniform timer jitter, as a fraction of the period. */
-    double periodicJitter = 0.05;
-
     std::uint64_t seed = 0x7ea41c;
-
-    /** Profile synthesis: same semantics as AzureWorkloadConfig. */
-    std::vector<int> profilePool = {0, 1, 2, 3, 4, 5, 7};
-    std::vector<func::FunctionClass> classMix;
 };
 
 /**
  * Deterministic rate model + arrival sampler. Construction
- * precomputes per-function profiles ("tr_<i>_<base>"), tenant
+ * precomputes per-function profiles ("tr_<i>_<base>", cycling
+ * kMixProfilePool like the Azure mix), tenant
  * assignment, Zipf base rates and burst memberships from the seed;
  * rateAt()/nextArrival() are then pure functions of (function, time)
  * and the caller's Rng stream, so every consumer — the fleet, benches,
@@ -131,6 +127,9 @@ struct TrafficConfig
 class TrafficEngine
 {
   public:
+    /** Per-arrival uniform timer jitter, as a fraction of the period. */
+    static constexpr double kPeriodicJitter = 0.05;
+
     explicit TrafficEngine(TrafficConfig config);
 
     const TrafficConfig &config() const { return cfg; }

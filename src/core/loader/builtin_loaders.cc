@@ -20,16 +20,14 @@ noteServe(LatencyBreakdown &bd, const vmm::InvocationBreakdown &res)
     bd.majorFaults = res.majorFaults;
 }
 
-/** Client-side chunk costs from the ReapOptions knobs. */
-mem::ChunkSourceParams
-chunkParams(const ReapOptions &reap)
-{
-    mem::ChunkSourceParams p;
-    p.decompressBandwidth = reap.chunkDecompressBandwidth;
-    p.perChunkDecompress = reap.chunkDecompressOverhead;
-    p.batchChunks = reap.chunkBatch;
-    return p;
-}
+/** Worker goroutines for the ParallelPageFaults design point. */
+constexpr int kParallelPfWorkers = 16;
+
+/**
+ * Per-page cost of the Sec. 7.3 layout re-randomization rewrite: one
+ * guest page-table update per installed working-set page.
+ */
+constexpr Duration kRerandomizePerPage = 900;
 
 } // namespace
 
@@ -182,7 +180,7 @@ PrefetchLoader::installWorkingSet(LoadContext &ctx)
     if (ctx.reap.rerandomizeLayout) {
         // Sec. 7.3: rewrite guest page tables so each clone gets a
         // fresh layout; proportional one-time install cost.
-        co_await ctx.sim.delay(ctx.reap.rerandomizePerPage *
+        co_await ctx.sim.delay(kRerandomizePerPage *
                                st.record.pageCount());
         ++st.stats.layoutRerandomizations;
     }
@@ -235,7 +233,7 @@ PrefetchLoader::load(LoadContext ctx)
     if (interleavedInstall()) {
         Time f0 = ctx.sim.now();
         co_await pipeline.fetchAndInstallPages(
-            st.record.pages, ctx.reap.parallelPfWorkers, *inst.uffd,
+            st.record.pages, kParallelPfWorkers, *inst.uffd,
             inst.vm->guestMemory());
         bd.fetchWs = ctx.sim.now() - f0;
     } else {
@@ -409,47 +407,35 @@ TieredReapLoader::makeSource(LoadContext &ctx) const
         });
     }
 
+    std::function<void(Bytes, Bytes)> onServe;
+    if (tb != nullptr) {
+        onServe = [tb, ws](Bytes off, Bytes len) {
+            tb->touched(ws, off, len);
+        };
+    }
+    tiered->addTier(mem::TieredPageSource::Tier{
+        "page-cache",
+        std::make_unique<mem::BufferedFileSource>(*fs, ws),
+        [fs, ws](Bytes off, Bytes len) {
+            return fs->isCached(ws, off, len);
+        },
+        nullptr, std::move(onServe)});
     // Admission lands remote bytes in the WS file's cache pages with
     // asynchronous writeback — one hook populates both local tiers,
-    // hung off the lowest enabled local tier (the one adjacent to the
-    // remote backstop) so only remote serves trigger it and the cost
-    // is paid once per miss range. O_DIRECT SSD serves must never
-    // admit into the page cache.
-    std::function<sim::Task<void>(Bytes, Bytes)> cacheAdmit, ssdAdmit;
-    if (ctx.reap.tieredAdmitOnMiss) {
-        auto admitLocal = [fs, ws, tb, simp](Bytes off, Bytes len) {
+    // hung off the SSD tier (the one adjacent to the remote backstop)
+    // so only remote serves trigger it and the cost is paid once per
+    // miss range. O_DIRECT SSD serves must never admit into the page
+    // cache.
+    tiered->addTier(mem::TieredPageSource::Tier{
+        "local-ssd",
+        std::make_unique<mem::DirectFileSource>(*fs, ws),
+        [st](Bytes, Bytes) { return st->artifactsLocal; },
+        [fs, ws, tb, simp](Bytes off, Bytes len) {
             if (tb != nullptr)
                 tb->admitted(ws, off, len, simp->now());
             return fs->writeBuffered(ws, off, len);
-        };
-        if (ctx.reap.tieredLocalTier)
-            ssdAdmit = admitLocal;
-        else
-            cacheAdmit = admitLocal;
-    }
-
-    if (ctx.reap.tieredPageCacheTier) {
-        std::function<void(Bytes, Bytes)> onServe;
-        if (tb != nullptr) {
-            onServe = [tb, ws](Bytes off, Bytes len) {
-                tb->touched(ws, off, len);
-            };
-        }
-        tiered->addTier(mem::TieredPageSource::Tier{
-            "page-cache",
-            std::make_unique<mem::BufferedFileSource>(*fs, ws),
-            [fs, ws](Bytes off, Bytes len) {
-                return fs->isCached(ws, off, len);
-            },
-            std::move(cacheAdmit), std::move(onServe)});
-    }
-    if (ctx.reap.tieredLocalTier) {
-        tiered->addTier(mem::TieredPageSource::Tier{
-            "local-ssd",
-            std::make_unique<mem::DirectFileSource>(*fs, ws),
-            [st](Bytes, Bytes) { return st->artifactsLocal; },
-            std::move(ssdAdmit), nullptr});
-    }
+        },
+        nullptr});
     tiered->addTier(mem::TieredPageSource::Tier{
         "remote", makeBackstop(ctx), nullptr, nullptr, nullptr});
     // Persist the serve counters on the function so admit-on-N-hits
@@ -471,10 +457,10 @@ TieredReapLoader::ensureStaged(LoadContext ctx)
 {
     bool was_staged = ctx.st.remoteStaged;
     co_await RemoteReapLoader::ensureStaged(ctx);
-    if (!was_staged && ctx.reap.tieredFreshWorker) {
-        // Model the next cold start on a worker with no local copy:
-        // the remote tier is the only valid one until admission
-        // re-populates the chain.
+    if (!was_staged) {
+        // Model the next cold start on a worker with no local copy
+        // (cross-worker sharing via the store): the remote tier is the
+        // only valid one until admission re-populates the chain.
         ctx.st.evictLocalArtifacts(ctx.fs);
     }
 }
@@ -513,8 +499,7 @@ TieredReapLoader::promoteArtifactsLocal(LoadContext &ctx,
     // SSD copy an earlier eviction may have dropped, and under
     // admit-on-N-hits a remote serve below the threshold admits
     // nothing at all.
-    if (ctx.st.artifactsLocal || !ctx.reap.tieredAdmitOnMiss ||
-        !ctx.reap.tieredLocalTier)
+    if (ctx.st.artifactsLocal)
         return;
     bool remote_all = false;
     Bytes admitted = 0;
@@ -546,7 +531,7 @@ chunkedBackstop(const LoadContext &ctx)
     VHIVE_ASSERT(ctx.st.manifests != nullptr);
     auto src = std::make_unique<mem::ChunkPageSource>(
         ctx.sim, ctx.artifactStore, ctx.st.manifests->ws,
-        &ctx.localChunks, chunkParams(ctx.reap), &ctx.chunkFlights,
+        &ctx.localChunks, mem::ChunkSourceParams{}, &ctx.chunkFlights,
         artifactKey(ctx).scope);
     // An invalidateRecord() or re-record while this cold start is in
     // flight drops the function's manifests; the source must outlive
@@ -570,7 +555,7 @@ chunkedStateRestore(LoadContext ctx)
     mem::ChunkPageSource state_src(ctx.sim, ctx.artifactStore,
                                    pinned->vmmState,
                                    &ctx.localChunks,
-                                   chunkParams(ctx.reap),
+                                   mem::ChunkSourceParams{},
                                    &ctx.chunkFlights,
                                    artifactKey(ctx).scope);
     co_await state_src.readAll();
@@ -642,11 +627,9 @@ DedupReapLoader::ensureStaged(LoadContext ctx)
         ctx.stagedChunks.releaseManifest(prev->vmmState);
         ctx.stagedChunks.releaseManifest(prev->ws);
     }
-    if (ctx.reap.tieredFreshWorker) {
-        // Same fresh-worker model as TieredReap: the first cold start
-        // after staging pays the (chunked) remote path.
-        ctx.st.evictLocalArtifacts(ctx.fs);
-    }
+    // Same fresh-worker model as TieredReap: the first cold start
+    // after staging pays the (chunked) remote path.
+    ctx.st.evictLocalArtifacts(ctx.fs);
 }
 
 sim::Task<void>
@@ -695,8 +678,7 @@ BackgroundWarmLoader::fetchWs(LoadContext &ctx,
     // The background shape: one window in flight, AIMD-sized, with a
     // pacing pause between windows — warming cedes store streams and
     // fabric to concurrent foreground cold starts.
-    co_await pipeline.fetchBackgroundTimed(0, len, ctx.reap.bgWarmPace,
-                                           out);
+    co_await pipeline.fetchBackgroundTimed(0, len, kBgWarmPace, out);
     promoteArtifactsLocal(ctx, pipeline, len);
 }
 

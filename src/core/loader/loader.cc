@@ -52,13 +52,6 @@ LoaderRegistry::registerLoader(ColdStartMode mode,
     loaders[mode] = std::move(loader);
 }
 
-void
-LoaderRegistry::setRecordLoader(std::unique_ptr<SnapshotLoader> loader)
-{
-    VHIVE_ASSERT(loader != nullptr);
-    _recordLoader = std::move(loader);
-}
-
 std::vector<ColdStartMode>
 LoaderRegistry::modes() const
 {

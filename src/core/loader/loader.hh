@@ -159,9 +159,6 @@ class LoaderRegistry
      */
     SnapshotLoader &recordLoader() const { return *_recordLoader; }
 
-    /** Replace the record-phase loader. */
-    void setRecordLoader(std::unique_ptr<SnapshotLoader> loader);
-
     /** All registered modes, in enum order. */
     std::vector<ColdStartMode> modes() const;
 

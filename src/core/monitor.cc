@@ -35,8 +35,6 @@ Monitor::run()
                 record.pages.push_back(p);
             }
         }
-        ++_servedFaults;
-        _servedPages += ev.runPages;
 
         ev.done->openGate();
     }

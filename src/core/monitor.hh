@@ -51,12 +51,6 @@ class Monitor
     /** Opened when the loop has exited (safe-teardown handshake). */
     sim::Gate &doneGate() { return done; }
 
-    /** Faults served so far (excludes the shutdown sentinel). */
-    std::int64_t servedFaults() const { return _servedFaults; }
-
-    /** Pages installed on demand by this monitor. */
-    std::int64_t servedPages() const { return _servedPages; }
-
     /** Record-mode output: pages in first-fault order. */
     const WorkingSetRecord &recorded() const { return record; }
 
@@ -71,8 +65,6 @@ class Monitor
     Mode _mode;
     sim::Gate done;
     WorkingSetRecord record;
-    std::int64_t _servedFaults = 0;
-    std::int64_t _servedPages = 0;
 };
 
 } // namespace vhive::core

@@ -100,12 +100,6 @@ struct InvokeOptions
     bool forceCold = false;
 
     /**
-     * Input selector; -1 draws the next input in sequence.
-     * Distinct ids model distinct inputs (Sec. 4.4).
-     */
-    std::int64_t inputId = -1;
-
-    /**
      * Flush the host page cache first — the paper's cold-start
      * methodology (Sec. 4.1) simulating long inter-invocation gaps.
      */
@@ -120,7 +114,24 @@ struct InvokeOptions
     bool warmupOnly = false;
 };
 
-/** REAP mechanism knobs (ablation points; defaults match the paper). */
+/**
+ * Pause between background-warm fetch windows (and between chunk
+ * batches of a background chunk prefetch): the pacing that keeps
+ * warming traffic from competing with foreground cold starts.
+ */
+inline constexpr Duration kBgWarmPace = msec(1);
+
+/**
+ * REAP mechanism knobs (ablation points; defaults match the paper).
+ *
+ * The tiered fallback chain is fixed: host page cache, then local SSD,
+ * then the remote backstop, with remote bytes admitted into both local
+ * tiers. The first cold start after staging models a fresh worker
+ * holding no local artifact copy, so it pays the remote path once.
+ * Chunk transfer costs are mem::ChunkSourceParams' defaults and chunk
+ * content statistics are vmm::ChunkingModel's, except where a field
+ * below overrides them.
+ */
 struct ReapOptions
 {
     /** Fetch the WS file with O_DIRECT (Sec. 5.2.3). */
@@ -134,9 +145,6 @@ struct ReapOptions
      * (off by default: the paper's Fig. 7 segments are additive).
      */
     bool overlapFetchWithVmmLoad = false;
-
-    /** Worker goroutines for the ParallelPageFaults design point. */
-    int parallelPfWorkers = 16;
 
     /**
      * Sec. 7.2 adaptive policy: when the fraction of residual faults
@@ -154,27 +162,7 @@ struct ReapOptions
      */
     bool rerandomizeLayout = false;
 
-    /** Per-page cost of the layout re-randomization rewrite. */
-    Duration rerandomizePerPage = static_cast<Duration>(900);
-
     // ------------------------------------------------ TieredReap knobs
-
-    /** Include the page-cache tier in the fallback chain. */
-    bool tieredPageCacheTier = true;
-
-    /** Include the local-SSD tier in the fallback chain. */
-    bool tieredLocalTier = true;
-
-    /**
-     * Model the first tiered cold start on a worker holding no local
-     * artifact copy (cross-worker sharing via the store): staging
-     * invalidates the local tiers, so the first fetch pays the remote
-     * path and re-populates them through admission.
-     */
-    bool tieredFreshWorker = true;
-
-    /** Bytes fetched from a lower tier populate the tiers above. */
-    bool tieredAdmitOnMiss = true;
 
     /**
      * Window size for the tiered WS fetch. 0 = adaptive: the pipeline
@@ -214,41 +202,12 @@ struct ReapOptions
     /** Transfer chunks compressed (decompression charged on arrival). */
     bool chunkCompression = true;
 
-    /** Mean compressed/raw ratio of chunk contents. */
-    double chunkCompressRatio = 0.55;
-
     /**
      * Fraction of full chunks shared with the fleet-wide runtime-page
      * pool (identical bytes across functions). ~30-50% matches the
      * cross-function redundancy reported for language runtimes.
      */
     double chunkDupRatio = 0.35;
-
-    /**
-     * Size of the fleet-wide shared runtime-page pool the duplicate
-     * chunks draw from (the guest kernel + agents + language-runtime
-     * image every function's snapshot carries). Expressed in bytes so
-     * the dedup opportunity is chunk-size-invariant.
-     */
-    Bytes chunkSharedPoolBytes = 24 * kMiB;
-
-    /** Client-side chunk decompression rate (raw bytes/sec). */
-    double chunkDecompressBandwidth = 3e9;
-
-    /** Fixed per-chunk decompression dispatch cost. */
-    Duration chunkDecompressOverhead = usec(4);
-
-    /** Max chunks coalesced into one batched ranged GET. */
-    int chunkBatch = 16;
-
-    // -------------------------------------------- BackgroundWarm knobs
-
-    /**
-     * Pause between background-warm fetch windows (and between chunk
-     * batches of a background chunk prefetch): the pacing that keeps
-     * warming traffic from competing with foreground cold starts.
-     */
-    Duration bgWarmPace = msec(1);
 
     // ----------------------------------------- Cache-economics knobs
 
@@ -276,16 +235,6 @@ struct ReapOptions
     /** Victim selection for every budgeted worker cache. */
     storage::EvictionPolicyKind evictionPolicy =
         storage::EvictionPolicyKind::Lru;
-
-    /**
-     * Delta re-record content churn: per re-record version, the
-     * probability that a function-unique chunk's content changed since
-     * the previous record. Shared-pool chunks never churn (the runtime
-     * image is immutable). Only re-records (version >= 2) consult
-     * this, so version-1 manifests are bit-identical to builds without
-     * the knob.
-     */
-    double rerecordChurn = 0.25;
 };
 
 /**

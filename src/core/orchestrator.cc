@@ -59,12 +59,6 @@ Orchestrator::registerFunction(const func::FunctionProfile &profile)
     functions.emplace(profile.name, std::move(st));
 }
 
-bool
-Orchestrator::hasFunction(const std::string &name) const
-{
-    return functions.count(name) > 0;
-}
-
 FunctionState &
 Orchestrator::state(const std::string &name)
 {
@@ -146,10 +140,8 @@ Orchestrator::adoptStagedArtifacts(
 }
 
 std::int64_t
-Orchestrator::pickInput(FunctionState &st, const InvokeOptions &opts)
+Orchestrator::pickInput(FunctionState &st)
 {
-    if (opts.inputId >= 0)
-        return opts.inputId;
     return st.nextInput++;
 }
 
@@ -177,15 +169,12 @@ Orchestrator::invoke(const std::string &name, ColdStartMode mode,
             if (servesWarm(*inst)) {
                 // Warm path. The guest buddy allocator reuses the
                 // same guest-physical frames across invocations on a
-                // live instance (Sec. 4.4), so by default a warm
-                // invocation replays the instance's last input layout
-                // and touches only resident pages. An explicit
-                // inputId overrides this (e.g. to study drift).
-                std::int64_t input = opts.inputId >= 0
-                                         ? opts.inputId
-                                         : inst->lastInput;
+                // live instance (Sec. 4.4), so a warm invocation
+                // replays the instance's last input layout and
+                // touches only resident pages.
+                std::int64_t input = inst->lastInput;
                 if (input < 0)
-                    input = pickInput(st, opts);
+                    input = pickInput(st);
                 inst->lastInput = input;
                 co_return co_await invokeWarm(
                     st, *inst, gen.invocation(st.profile, input));
@@ -210,11 +199,9 @@ Orchestrator::invoke(const std::string &name, ColdStartMode mode,
                     }
                 }
                 if (cand != nullptr && servesWarm(*cand)) {
-                    std::int64_t input = opts.inputId >= 0
-                                             ? opts.inputId
-                                             : cand->lastInput;
+                    std::int64_t input = cand->lastInput;
                     if (input < 0)
-                        input = pickInput(st, opts);
+                        input = pickInput(st);
                     cand->lastInput = input;
                     co_return co_await invokeWarm(
                         st, *cand, gen.invocation(st.profile, input));
@@ -224,7 +211,7 @@ Orchestrator::invoke(const std::string &name, ColdStartMode mode,
         }
     }
 
-    std::int64_t input = pickInput(st, opts);
+    std::int64_t input = pickInput(st);
     func::InvocationTrace trace = gen.invocation(st.profile, input);
 
     // Cold start: control-plane handling (CRI request, bookkeeping),
@@ -615,7 +602,6 @@ Orchestrator::enforceSsdBudget(Time now)
         auto vi = static_cast<std::size_t>(v);
         FunctionState &st = *owners[vi];
         resident -= cands[vi].bytes;
-        _ssdEvictedBytes += cands[vi].bytes;
         ++_ssdEvictions;
         st.evictLocalArtifacts(fs);
         if (st.wsFile != storage::kInvalidFile)
@@ -703,17 +689,12 @@ Orchestrator::backgroundPrefetch(const std::string &name,
         // Content-addressed path: paced background fetch of every WS
         // chunk neither resident nor in flight, admitted into the
         // worker chunk cache where the next cold start finds them.
-        mem::ChunkSourceParams p;
-        p.decompressBandwidth = reap.chunkDecompressBandwidth;
-        p.perChunkDecompress = reap.chunkDecompressOverhead;
-        p.batchChunks = reap.chunkBatch;
         std::uint64_t scope = net::placementScope(name);
         mem::ChunkPageSource src(sim, artifactStore, st.manifests->ws,
-                                 &_localChunks, p, &_chunkFlights,
-                                 scope);
+                                 &_localChunks, mem::ChunkSourceParams{},
+                                 &_chunkFlights, scope);
         src.retain(st.manifests);
-        moved = co_await src.prefetchMissing(reap.bgWarmPace,
-                                             pin_until);
+        moved = co_await src.prefetchMissing(kBgWarmPace, pin_until);
     } else if (st.remoteStaged && !st.artifactsLocal) {
         // Blob path: background-GET the staged WS object and land it
         // in the local WS file (page cache + async writeback), the
@@ -724,7 +705,7 @@ Orchestrator::backgroundPrefetch(const std::string &name,
                                        net::PlacementKey{h, h});
         mem::PageFetchPipeline pipeline(sim, remote);
         Bytes len = st.record.wsFileBytes();
-        co_await pipeline.fetchBackground(0, len, reap.bgWarmPace);
+        co_await pipeline.fetchBackground(0, len, kBgWarmPace);
         co_await fs.writeBuffered(st.wsFile, 0, len);
         st.artifactsLocal = true;
         moved = len;
@@ -734,8 +715,6 @@ Orchestrator::backgroundPrefetch(const std::string &name,
         // (pinFileUntil covers only segments tracked at call time).
         _tierBudget.pinFileUntil(st.wsFile, pin_until);
     }
-    if (moved > 0)
-        ++_bgPrefetches;
     _bgPrefetching.erase(name);
     co_return moved;
 }

@@ -72,7 +72,6 @@ class Orchestrator
      * 0 disables the bound (default).
      */
     void setMemoryCapacity(Bytes capacity) { memoryCapacity = capacity; }
-    Bytes getMemoryCapacity() const { return memoryCapacity; }
 
     /** Idle instances evicted to satisfy the memory bound. */
     std::int64_t capacityEvictions() const { return _capacityEvictions; }
@@ -82,9 +81,6 @@ class Orchestrator
 
     /** Register a function for deployment. */
     void registerFunction(const func::FunctionProfile &profile);
-
-    /** True if @p name is registered. */
-    bool hasFunction(const std::string &name) const;
 
     /**
      * Boot a VM, let it fully initialize, and capture its snapshot
@@ -151,9 +147,6 @@ class Orchestrator
 
     /** Pre-warmed instances retired without ever serving. */
     std::int64_t wastedPreWarms() const { return _wastedPreWarms; }
-
-    /** Background prefetches performed (backgroundPrefetch calls). */
-    std::int64_t backgroundPrefetches() const { return _bgPrefetches; }
 
     /** Resident bytes held by idle (warm, not busy) instances. */
     Bytes idleResidentBytes() const;
@@ -262,9 +255,6 @@ class Orchestrator
     /** Local-SSD artifact copies evicted by the SSD budget. */
     std::int64_t ssdEvictions() const { return _ssdEvictions; }
 
-    /** Bytes those evictions dropped. */
-    Bytes ssdEvictedBytes() const { return _ssdEvictedBytes; }
-
     /** High-water mark of summed local artifact bytes. */
     Bytes peakSsdBytes() const { return _peakSsdBytes; }
 
@@ -330,8 +320,9 @@ class Orchestrator
     FunctionState &state(const std::string &name);
     const FunctionState &state(const std::string &name) const;
 
-    std::int64_t pickInput(FunctionState &st,
-                           const InvokeOptions &opts);
+    /** The next input in @p st's sequence (Sec. 4.4: distinct ids
+     * model distinct inputs). */
+    static std::int64_t pickInput(FunctionState &st);
 
     sim::Task<LatencyBreakdown>
     invokeWarm(FunctionState &st, Instance &inst,
@@ -385,9 +376,7 @@ class Orchestrator
     std::int64_t _snapshotBuilds = 0;
     std::uint64_t _nextInstanceId = 0;
     std::int64_t _wastedPreWarms = 0;
-    std::int64_t _bgPrefetches = 0;
     std::int64_t _ssdEvictions = 0;
-    Bytes _ssdEvictedBytes = 0;
     Bytes _peakSsdBytes = 0;
 
     /** Recency counter feeding FunctionState::artifactLruSeq. */

@@ -31,12 +31,6 @@ struct WorkerConfig
     /** Root seed for all workload synthesis on this worker. */
     std::uint64_t seed = 0x76686976; // "vhiv"
 
-    /** Logical cores (the paper's host has 48). */
-    int hostCores = 48;
-
-    /** Hardware threads for orchestrator goroutines (Sec. 6.2). */
-    int orchestratorThreads = 16;
-
     /** Snapshot storage device. */
     storage::DiskParams disk = storage::DiskParams::ssd();
 
@@ -92,7 +86,6 @@ class Worker
     storage::DiskDevice &disk() { return _disk; }
     storage::FileStore &fileStore() { return fs; }
     host::CpuPool &hostCpus() { return _hostCpus; }
-    host::CpuPool &orchestratorCpus() { return _orchCpus; }
 
     /** The worker-private store (inputs; artifacts too standalone). */
     net::ObjectStore &objectStore() { return s3; }
@@ -100,7 +93,6 @@ class Worker
     /** The store artifacts stage into (shared one when given). */
     net::ArtifactStore &artifactStore() { return *artifacts; }
 
-    const func::TraceGenerator &traceGenerator() const { return gen; }
     const WorkerConfig &config() const { return cfg; }
 
   private:

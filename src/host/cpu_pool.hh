@@ -40,23 +40,10 @@ class CpuPool
     /** Cores currently idle. */
     std::int64_t idleCores() const { return sem.availablePermits(); }
 
-    /** Tasks waiting for a core. */
-    std::int64_t runQueueLength() const { return sem.queueLength(); }
-
   private:
     sim::Simulation &sim;
     int _cores;
     sim::Semaphore sem;
-};
-
-/** Platform-wide host configuration (the paper's evaluation server). */
-struct HostConfig
-{
-    /** Logical cores on the worker host. */
-    int hostCores = 48;
-
-    /** Hardware threads available to orchestrator worker goroutines. */
-    int orchestratorThreads = 16;
 };
 
 } // namespace vhive::host

@@ -102,9 +102,6 @@ class GuestMemory
     /** Total pages of guest memory. */
     std::int64_t totalPages() const { return _totalPages; }
 
-    /** Backing file (kInvalidFile when anonymous). */
-    storage::FileId backingFile() const { return memoryFile; }
-
     /** Current backing mode. */
     BackingMode mode() const { return _mode; }
 

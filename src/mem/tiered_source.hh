@@ -76,9 +76,6 @@ class TieredPageSource final : public PageSource
     /** Append @p tier to the chain (probed after all earlier tiers). */
     void addTier(Tier tier);
 
-    /** Number of tiers in the chain. */
-    int tierCount() const { return static_cast<int>(tiers.size()); }
-
     /**
      * Admission threshold: a range served below the admittable tiers
      * is admitted only on its @p n'th such serve (ReapOptions::

@@ -5,6 +5,24 @@
 
 namespace vhive::net {
 
+void
+ObjectStoreStats::merge(const ObjectStoreStats &other)
+{
+    gets += other.gets;
+    puts += other.puts;
+    rangedGets += other.rangedGets;
+    bytesServed += other.bytesServed;
+    bytesStored += other.bytesStored;
+    chunkPuts += other.chunkPuts;
+    chunkBatches += other.chunkBatches;
+    chunksServed += other.chunksServed;
+    streamWaits += other.streamWaits;
+    streamWaitTime += other.streamWaitTime;
+    peakStreamQueue = std::max(peakStreamQueue, other.peakStreamQueue);
+    requestRetries += other.requestRetries;
+    outageStalls += other.outageStalls;
+}
+
 ObjectStoreParams
 ObjectStoreParams::remote()
 {

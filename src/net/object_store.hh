@@ -126,6 +126,12 @@ struct ObjectStoreStats
      */
     std::int64_t requestRetries = 0;
     std::int64_t outageStalls = 0;
+
+    /**
+     * Fold @p other into these counters: every counter is summed
+     * except peakStreamQueue, which keeps the deeper of the two queues.
+     */
+    void merge(const ObjectStoreStats &other);
 };
 
 /**

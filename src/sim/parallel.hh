@@ -171,9 +171,6 @@ class ParallelKernel
     ParallelKernel(const ParallelKernel &) = delete;
     ParallelKernel &operator=(const ParallelKernel &) = delete;
 
-    int domainCount() const { return static_cast<int>(_domains.size()); }
-    int threadCount() const { return _threads; }
-
     Domain &domain(int i) { return *_domains[static_cast<size_t>(i)]; }
 
     /** Shorthand for domain(i).sim(). */

@@ -107,29 +107,4 @@ Samples::percentile(double p) const
     return s[lo_idx] * (1.0 - frac) + s[hi_idx] * frac;
 }
 
-void
-RunningStats::add(double v)
-{
-    ++n;
-    if (n == 1) {
-        m = v;
-        s = 0.0;
-        lo = hi = v;
-    } else {
-        double m_prev = m;
-        m += (v - m) / static_cast<double>(n);
-        s += (v - m_prev) * (v - m);
-        lo = std::min(lo, v);
-        hi = std::max(hi, v);
-    }
-}
-
-double
-RunningStats::variance() const
-{
-    if (n < 2)
-        return 0.0;
-    return s / static_cast<double>(n - 1);
-}
-
 } // namespace vhive

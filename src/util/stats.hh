@@ -68,49 +68,6 @@ class Samples
     mutable bool sortedValid = true;
 };
 
-/**
- * A named monotonically increasing counter.
- */
-class Counter
-{
-  public:
-    /** Increase the counter by @p delta (default 1). */
-    void inc(std::int64_t delta = 1) { _value += delta; }
-
-    /** Current value. */
-    std::int64_t value() const { return _value; }
-
-    /** Reset to zero. */
-    void reset() { _value = 0; }
-
-  private:
-    std::int64_t _value = 0;
-};
-
-/**
- * Welford-style running mean/variance without sample retention, for hot
- * paths where storing every sample would be wasteful.
- */
-class RunningStats
-{
-  public:
-    /** Record one sample. */
-    void add(double v);
-
-    std::int64_t count() const { return n; }
-    double mean() const { return n ? m : 0.0; }
-    double variance() const;
-    double min() const { return n ? lo : 0.0; }
-    double max() const { return n ? hi : 0.0; }
-
-  private:
-    std::int64_t n = 0;
-    double m = 0.0;
-    double s = 0.0;
-    double lo = 0.0;
-    double hi = 0.0;
-};
-
 } // namespace vhive
 
 #endif // VHIVE_UTIL_STATS_HH

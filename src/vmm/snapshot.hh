@@ -97,10 +97,13 @@ struct ChunkingModel
     double crossFunctionDupRatio = 0.35;
 
     /**
-     * Byte size of the shared runtime pool duplicates draw from.
-     * Draws are skewed toward the pool's head (hot kernel/runtime
-     * pages every function touches), so distinct functions' shared
-     * chunks overlap heavily — the effect dedup exploits.
+     * Byte size of the shared runtime pool duplicates draw from (the
+     * guest kernel + agents + language-runtime image every function's
+     * snapshot carries). Expressed in bytes so the dedup opportunity
+     * is chunk-size-invariant. Draws are skewed toward the pool's head
+     * (hot kernel/runtime pages every function touches), so distinct
+     * functions' shared chunks overlap heavily — the effect dedup
+     * exploits.
      */
     Bytes sharedPoolBytes = 24 * kMiB;
 

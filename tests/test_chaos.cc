@@ -814,7 +814,7 @@ TEST(ChaosParallel, RejectsUnsupportedConfigsWithCleanError)
                 ::testing::ExitedWithCode(1), "sharedStoreShards");
 
     // Nonsense values of the shared fleet fields, each on an
-    // otherwise valid config, and the kernel lookahead.
+    // otherwise valid config.
     auto rejects = [](auto mutate, const char *what) {
         cluster::ParallelFleetConfig bad;
         bad.workers = 2;
@@ -833,7 +833,6 @@ TEST(ChaosParallel, RejectsUnsupportedConfigsWithCleanError)
     rejects([](Cfg &c) { c.worker.reap.ssdBudget = -1; }, "ssdBudget");
     rejects([](Cfg &c) { c.keepAlive = 0; }, "keepAlive");
     rejects([](Cfg &c) { c.scalePeriod = -sec(1); }, "scalePeriod");
-    rejects([](Cfg &c) { c.fabricHop = 0; }, "fabricHop");
     rejects([](Cfg &c) { c.maxConcurrencyPerFunction = -1; },
             "maxConcurrencyPerFunction");
     rejects([](Cfg &c) { c.maxColdStartRetries = -1; },

@@ -777,7 +777,6 @@ struct StubFleet final : public cluster::FleetView
         return 0; // all cold
     }
     std::int64_t inFlight(int) const override { return 0; }
-    Bytes residentBytes(int) const override { return 0; }
     bool artifactsLocal(int, const std::string &) const override
     {
         return false;

@@ -12,6 +12,12 @@
  * The companion test asserts the breakdown itself is bit-identical
  * across two independent simulation runs — the determinism the golden
  * diff relies on.
+ *
+ * A second baseline, fleet_digests.txt, holds the FleetStats::digest()
+ * of three short fixed ParallelFleet runs. Every other digest test
+ * compares runs inside one build, so only this file sees a change that
+ * moves every run the same way. The same VHIVE_UPDATE_GOLDEN=1 switch
+ * regenerates it.
  */
 
 #include <gtest/gtest.h>
@@ -19,9 +25,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iomanip>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "cluster/control_policy.hh"
+#include "cluster/parallel_fleet.hh"
+#include "cluster/routing_policy.hh"
+#include "cluster/traffic.hh"
 #include "core/loader/loader.hh"
 #include "core/options.hh"
 #include "core/worker.hh"
@@ -29,6 +42,7 @@
 #include "net/object_store.hh"
 #include "sim/simulation.hh"
 #include "sim/task.hh"
+#include "storage/eviction.hh"
 #include "util/units.hh"
 
 #ifndef VHIVE_GOLDEN_DIR
@@ -131,35 +145,167 @@ renderBreakdowns()
 }
 
 std::string
-goldenPath()
+goldenPath(const char *file)
 {
-    return std::string(VHIVE_GOLDEN_DIR) + "/fig7_breakdown.txt";
+    return std::string(VHIVE_GOLDEN_DIR) + "/" + file;
 }
 
-TEST(GoldenTrace, Fig7BreakdownMatchesCheckedInBaseline)
+/**
+ * Compare @p actual with the checked-in golden @p file, or rewrite the
+ * file when VHIVE_UPDATE_GOLDEN is set.
+ */
+void
+expectMatchesGolden(const char *file, const std::string &actual)
 {
-    std::string actual = renderBreakdowns();
-
+    const std::string path = goldenPath(file);
     if (std::getenv("VHIVE_UPDATE_GOLDEN") != nullptr) {
-        std::ofstream out(goldenPath(), std::ios::trunc);
-        ASSERT_TRUE(out.good())
-            << "cannot write " << goldenPath();
+        std::ofstream out(path, std::ios::trunc);
+        ASSERT_TRUE(out.good()) << "cannot write " << path;
         out << actual;
-        std::printf("regenerated %s\n", goldenPath().c_str());
+        std::printf("regenerated %s\n", path.c_str());
         return;
     }
 
-    std::ifstream in(goldenPath());
+    std::ifstream in(path);
     ASSERT_TRUE(in.good())
-        << "missing " << goldenPath()
+        << "missing " << path
         << " — generate it with VHIVE_UPDATE_GOLDEN=1 ./test_golden";
     std::ostringstream expected;
     expected << in.rdbuf();
     EXPECT_EQ(actual, expected.str())
-        << "per-segment breakdown drifted from the checked-in "
-           "baseline.\nIf the change is an intentional model or "
-           "calibration change, regenerate\nwith VHIVE_UPDATE_GOLDEN=1 "
-           "./test_golden and commit the diff.";
+        << file << " drifted from the checked-in baseline.\nIf the "
+           "change is an intentional model or calibration change, "
+           "regenerate\nwith VHIVE_UPDATE_GOLDEN=1 ./test_golden and "
+           "commit the diff.";
+}
+
+/** Per-worker REAP on a closed-loop Azure mix, locality-hash routed. */
+cluster::ParallelFleetConfig
+azureReapFleet()
+{
+    cluster::ParallelFleetConfig cfg;
+    cfg.workers = 4;
+    cfg.coldStartMode = ColdStartMode::Reap;
+    cfg.routingPolicy = cluster::RoutingPolicyKind::LocalityHash;
+    cfg.keepAlive = sec(10);
+    cfg.workload.functions = 14;
+    cfg.workload.minInterarrival = sec(20);
+    cfg.workload.maxInterarrival = sec(40);
+    cfg.workload.horizon = sec(240);
+    cfg.workload.seed = 17;
+    return cfg;
+}
+
+/**
+ * DedupReap through a two-shard shared store, driven open-loop by a
+ * TrafficEngine population with periodic timers, a flash crowd and a
+ * deploy storm.
+ */
+cluster::ParallelFleetConfig
+burstSharedFleet()
+{
+    cluster::ParallelFleetConfig cfg;
+    cfg.workers = 6;
+    cfg.coldStartMode = ColdStartMode::DedupReap;
+    cfg.sharedSnapshots = true;
+    cfg.sharedStoreShards = 2;
+    cfg.chunkPlacement = net::ChunkPlacementPolicy::OverlapAware;
+    cfg.routingPolicy = cluster::RoutingPolicyKind::WarmFirst;
+    cfg.keepAlive = sec(2);
+    cluster::TrafficConfig tc;
+    tc.functions = 10;
+    tc.tenants = 2;
+    tc.aggregateRps = 1.0;
+    tc.horizon = sec(90);
+    tc.seed = 23;
+    tc.periodicFraction = 0.3;
+    tc.periodicMinPeriod = sec(10);
+    tc.periodicMaxPeriod = sec(30);
+    cluster::BurstSpec crowd;
+    crowd.kind = cluster::BurstKind::FlashCrowd;
+    crowd.tenant = 1;
+    crowd.start = sec(30);
+    crowd.duration = sec(10);
+    crowd.multiplier = 4.0;
+    tc.bursts.push_back(crowd);
+    cluster::BurstSpec storm;
+    storm.kind = cluster::BurstKind::DeployStorm;
+    storm.fraction = 0.3;
+    storm.start = sec(60);
+    storm.duration = sec(10);
+    storm.multiplier = 4.0;
+    tc.bursts.push_back(storm);
+    cfg.traffic = tc;
+    return cfg;
+}
+
+/**
+ * HybridHistogram pre-warm and prefetch over shared DedupReap, with a
+ * byte budget on every worker tier and on the fleet chunk index.
+ */
+cluster::ParallelFleetConfig
+budgetControlFleet()
+{
+    cluster::ParallelFleetConfig cfg;
+    cfg.workers = 3;
+    cfg.coldStartMode = ColdStartMode::DedupReap;
+    cfg.sharedSnapshots = true;
+    cfg.sharedStoreShards = 2;
+    cfg.routingPolicy = cluster::RoutingPolicyKind::LocalityHash;
+    cfg.keepAlive = sec(5);
+    cfg.scalePeriod = sec(1);
+    cfg.controlPolicy = cluster::ControlPolicyKind::HybridHistogram;
+    core::ReapOptions &reap = cfg.worker.reap;
+    reap.pageCacheBudget = 24 * kMiB;
+    reap.chunkCacheBudget = 24 * kMiB;
+    reap.ssdBudget = 8 * kMiB;
+    reap.evictionPolicy = storage::EvictionPolicyKind::SharingAware;
+    cfg.registryChunkBudget = 160 * kMiB;
+    cfg.registryEvictionPolicy = storage::EvictionPolicyKind::SharingAware;
+    cluster::TrafficConfig tc;
+    tc.functions = 8;
+    tc.tenants = 2;
+    tc.aggregateRps = 0.5;
+    tc.horizon = sec(360);
+    tc.seed = 31;
+    tc.periodicFraction = 0.5;
+    tc.periodicMinPeriod = sec(40);
+    tc.periodicMaxPeriod = sec(90);
+    cfg.traffic = tc;
+    return cfg;
+}
+
+/**
+ * One line per fixed run: a few readable counters, then the digest of
+ * every FleetStats field.
+ */
+std::string
+renderFleetDigests()
+{
+    const std::vector<std::pair<const char *,
+                                cluster::ParallelFleetConfig>>
+        runs = {{"azure-reap", azureReapFleet()},
+                {"burst-shared", burstSharedFleet()},
+                {"budget-control", budgetControlFleet()}};
+    std::ostringstream out;
+    for (const auto &[name, cfg] : runs) {
+        cluster::ParallelFleet fleet(cfg);
+        cluster::FleetStats fs = fleet.run();
+        out << name << " invocations=" << fs.invocations
+            << " coldStarts=" << fs.coldStarts
+            << " preWarms=" << fs.preWarms
+            << " bgPrefetches=" << fs.bgPrefetches
+            << " chunkEvictions=" << fs.workerChunkBudgetEvictions
+            << " ssdEvictions=" << fs.ssdEvictions << " digest=0x"
+            << std::hex << std::setw(16) << std::setfill('0')
+            << fs.digest() << std::dec << std::setfill(' ') << "\n";
+    }
+    return out.str();
+}
+
+TEST(GoldenTrace, Fig7BreakdownMatchesCheckedInBaseline)
+{
+    expectMatchesGolden("fig7_breakdown.txt", renderBreakdowns());
 }
 
 TEST(GoldenTrace, BreakdownBitIdenticalAcrossRuns)
@@ -167,6 +313,11 @@ TEST(GoldenTrace, BreakdownBitIdenticalAcrossRuns)
     // Two independent simulations must render byte-identical output;
     // this is the determinism the golden diff above stands on.
     EXPECT_EQ(renderBreakdowns(), renderBreakdowns());
+}
+
+TEST(GoldenTrace, FleetDigestsMatchCheckedInBaseline)
+{
+    expectMatchesGolden("fleet_digests.txt", renderFleetDigests());
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/parallel_fleet.hh"
@@ -103,8 +104,10 @@ avgConcurrentColdMs(int n, ColdStartMode mode)
     const auto &base = func::profileByName("helloworld");
     std::vector<std::string> names;
     for (int i = 0; i < n; ++i) {
+        std::string name = "f";
+        name += std::to_string(i);
         auto p = base;
-        p.name = "f" + std::to_string(i);
+        p.name = std::move(name);
         names.push_back(p.name);
         orch.registerFunction(p);
     }

@@ -131,19 +131,26 @@ TEST(ShardedStore, ShardStatsSumToAggregate)
     sim.spawn(driveOps(store, 32));
     sim.run();
 
-    ObjectStoreStats sum;
-    std::int64_t peak = 0;
+    // Summed by hand, not through ObjectStoreStats::merge (which
+    // stats() itself uses): counters add, the queue peak is a max.
+    std::int64_t gets = 0, puts = 0, chunk_puts = 0, waits = 0, peak = 0;
+    Bytes served = 0, stored = 0;
     for (const ObjectStoreStats &row : store.shardStats()) {
-        cluster::mergeStoreStats(sum, row);
+        gets += row.gets;
+        puts += row.puts;
+        chunk_puts += row.chunkPuts;
+        served += row.bytesServed;
+        stored += row.bytesStored;
+        waits += row.streamWaits;
         peak = std::max(peak, row.peakStreamQueue);
     }
     ObjectStoreStats agg = store.stats();
-    EXPECT_EQ(agg.gets, sum.gets);
-    EXPECT_EQ(agg.puts, sum.puts);
-    EXPECT_EQ(agg.chunkPuts, sum.chunkPuts);
-    EXPECT_EQ(agg.bytesServed, sum.bytesServed);
-    EXPECT_EQ(agg.bytesStored, sum.bytesStored);
-    EXPECT_EQ(agg.streamWaits, sum.streamWaits);
+    EXPECT_EQ(agg.gets, gets);
+    EXPECT_EQ(agg.puts, puts);
+    EXPECT_EQ(agg.chunkPuts, chunk_puts);
+    EXPECT_EQ(agg.bytesServed, served);
+    EXPECT_EQ(agg.bytesStored, stored);
+    EXPECT_EQ(agg.streamWaits, waits);
     EXPECT_EQ(agg.peakStreamQueue, peak);
     // Work actually landed on more than one shard.
     int used = 0;
@@ -172,7 +179,7 @@ TEST(ShardedStore, FleetStatsCarryPerShardRows)
     ASSERT_EQ(static_cast<int>(fs.storeShards.size()), 4);
     ObjectStoreStats sum;
     for (const ObjectStoreStats &row : fs.storeShards)
-        cluster::mergeStoreStats(sum, row);
+        sum.merge(row);
     EXPECT_EQ(fs.store.gets, sum.gets);
     EXPECT_EQ(fs.store.puts, sum.puts);
     EXPECT_EQ(fs.store.bytesStored, sum.bytesStored);

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sim/simulation.hh"
 #include "sim/sync.hh"
 #include "sim/task.hh"
@@ -303,8 +305,11 @@ TEST(FileStore, SerializedFaultPathLimitsAggregateThroughput)
     const int instances = 32;
     const int faults = 60;
     std::vector<FileId> f;
-    for (int i = 0; i < instances; ++i)
-        f.push_back(fs.createFile("m" + std::to_string(i), 16 * kMiB));
+    for (int i = 0; i < instances; ++i) {
+        std::string name = "m";
+        name += std::to_string(i);
+        f.push_back(fs.createFile(name, 16 * kMiB));
+    }
     sim::Latch done(sim, instances);
     for (int i = 0; i < instances; ++i)
         sim.spawn(Faulter::run(fs, f[i], faults, &done));
@@ -456,9 +461,11 @@ TEST(FileStore, ConcurrentBufferedReadsShareThePlug)
     const int readers = 16;
     const int reads = 50;
     std::vector<FileId> files;
-    for (int i = 0; i < readers; ++i)
-        files.push_back(
-            fs.createFile("f" + std::to_string(i), 16 * kMiB));
+    for (int i = 0; i < readers; ++i) {
+        std::string name = "f";
+        name += std::to_string(i);
+        files.push_back(fs.createFile(name, 16 * kMiB));
+    }
     sim::Latch done(sim, readers);
     for (int i = 0; i < readers; ++i)
         sim.spawn(Reader::run(fs, files[static_cast<size_t>(i)],

@@ -213,7 +213,7 @@ TEST(TrafficEngine, PeriodicClassFiresOnTimerGrid)
                                               "periodic-test");
         Duration ta = 0, tb = 0;
         auto slack = static_cast<Duration>(
-            cfg.periodicJitter * static_cast<double>(period));
+            TrafficEngine::kPeriodicJitter * static_cast<double>(period));
         for (int i = 0; i < 12; ++i) {
             Duration prev = ta;
             ta = a.nextArrival(fn, ta, ra);

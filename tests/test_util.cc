@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/rng.hh"
 #include "util/stats.hh"
@@ -191,33 +190,6 @@ TEST(Samples, PercentileKeepsArrivalOrder)
     EXPECT_EQ(s.values().back(), 9.0);
     s.clear();
     EXPECT_DOUBLE_EQ(s.percentile(50), 0.0);
-}
-
-TEST(RunningStats, MatchesSamples)
-{
-    Rng rng(3);
-    Samples s;
-    RunningStats r;
-    for (int i = 0; i < 1000; ++i) {
-        double v = rng.exponential(10.0);
-        s.add(v);
-        r.add(v);
-    }
-    EXPECT_EQ(r.count(), 1000);
-    EXPECT_NEAR(r.mean(), s.mean(), 1e-9);
-    EXPECT_NEAR(std::sqrt(r.variance()), s.stddev(), 1e-6);
-    EXPECT_DOUBLE_EQ(r.min(), s.min());
-    EXPECT_DOUBLE_EQ(r.max(), s.max());
-}
-
-TEST(Counter, IncrementAndReset)
-{
-    Counter c;
-    c.inc();
-    c.inc(4);
-    EXPECT_EQ(c.value(), 5);
-    c.reset();
-    EXPECT_EQ(c.value(), 0);
 }
 
 TEST(Table, AlignsColumns)
